@@ -71,10 +71,19 @@ OriginGateway::OriginGateway(net::Transport& net,
       return {404, {}};
     }
     const std::size_t last = std::min<std::size_t>(first + per, n);
+    // Each packet is written straight into the reply as a length-prefixed
+    // blob, with no per-packet buffer in between.
+    std::size_t total = 4;
+    for (std::size_t i = first; i < last; ++i) {
+      total += 4 + media::asf::packet_wire_size(f->packets[i]);
+    }
     ByteWriter w;
+    w.reserve(total);
     w.u32(static_cast<std::uint32_t>(last - first));
     for (std::size_t i = first; i < last; ++i) {
-      w.blob(media::asf::serialize_packet(f->packets[i]));
+      const auto& pkt = f->packets[i];
+      w.u32(static_cast<std::uint32_t>(media::asf::packet_wire_size(pkt)));
+      media::asf::write_packet(w, pkt);
     }
     auto out = std::move(w).take();
     m_segment_bytes_.inc(out.size());
@@ -185,20 +194,7 @@ EdgeNode::ContentMeta& EdgeNode::ensure_meta(const std::string& content,
                      if (!*alive) return;
                      const int status = r ? r->status : 0;
                      if (status != 200) {
-                       ContentMeta& m = contents_[content];
-                       m.fetching = false;
-                       if (m.fill_span) {
-                         trace_->end_span(m.fill_ctx, m.fill_span,
-                                          "edge.meta_fill", host_, status);
-                         m.fill_span = 0;
-                       }
-                       for (auto [h, p] : m.waiting_describe) {
-                         ByteWriter e;
-                         e.u8(static_cast<std::uint8_t>(Ctl::kError));
-                         e.str("no such content: " + content);
-                         reply_to(h, p, std::move(e).take());
-                       }
-                       m.waiting_describe.clear();
+                       fail_meta(content, status);
                        return;
                      }
                      on_meta(content, r->body);
@@ -206,28 +202,53 @@ EdgeNode::ContentMeta& EdgeNode::ensure_meta(const std::string& content,
   return meta;
 }
 
+void EdgeNode::fail_meta(const std::string& content, int status) {
+  ContentMeta& m = contents_[content];
+  m.fetching = false;
+  if (m.fill_span) {
+    trace_->end_span(m.fill_ctx, m.fill_span, "edge.meta_fill", host_, status);
+    m.fill_span = 0;
+  }
+  for (auto [h, p] : m.waiting_describe) {
+    ByteWriter e;
+    e.u8(static_cast<std::uint8_t>(Ctl::kError));
+    e.str("no such content: " + content);
+    reply_to(h, p, std::move(e).take());
+  }
+  m.waiting_describe.clear();
+}
+
 void EdgeNode::on_meta(const std::string& content,
                        std::span<const std::byte> body) {
+  ContentMeta parsed;
+  try {
+    ByteReader r(body);
+    parsed.header_bytes = r.blob();
+    parsed.header = media::asf::parse_header(parsed.header_bytes);
+    parsed.packet_count = r.u32();
+    const std::uint32_t index_count = r.u32();
+    parsed.index.reserve(r.bounded_count(index_count, 8 + 4));
+    for (std::uint32_t i = 0; i < index_count; ++i) {
+      media::asf::IndexEntry e;
+      e.time = net::SimDuration{r.i64()};
+      e.packet = r.u32();
+      parsed.index.push_back(e);
+    }
+    parsed.send_times_us.reserve(r.bounded_count(parsed.packet_count, 8));
+    for (std::uint32_t i = 0; i < parsed.packet_count; ++i) {
+      parsed.send_times_us.push_back(r.i64());
+    }
+  } catch (const std::exception&) {
+    fail_meta(content, 0);  // malformed reply: as if the origin refused
+    return;
+  }
   ContentMeta& meta = contents_[content];
   meta.fetching = false;
-  ByteReader r(body);
-  meta.header_bytes = r.blob();
-  meta.header = media::asf::parse_header(meta.header_bytes);
-  meta.packet_count = r.u32();
-  const std::uint32_t index_count = r.u32();
-  meta.index.clear();
-  meta.index.reserve(index_count);
-  for (std::uint32_t i = 0; i < index_count; ++i) {
-    media::asf::IndexEntry e;
-    e.time = net::SimDuration{r.i64()};
-    e.packet = r.u32();
-    meta.index.push_back(e);
-  }
-  meta.send_times_us.clear();
-  meta.send_times_us.reserve(meta.packet_count);
-  for (std::uint32_t i = 0; i < meta.packet_count; ++i) {
-    meta.send_times_us.push_back(r.i64());
-  }
+  meta.header_bytes = std::move(parsed.header_bytes);
+  meta.header = std::move(parsed.header);
+  meta.packet_count = parsed.packet_count;
+  meta.index = std::move(parsed.index);
+  meta.send_times_us = std::move(parsed.send_times_us);
   meta.ready = true;
   if (meta.fill_span) {
     trace_->end_span(meta.fill_ctx, meta.fill_span, "edge.meta_fill", host_,
@@ -618,6 +639,7 @@ void EdgeNode::schedule_next(Session& s) {
   const net::SimTime now = net_.now();
   if (due < now) due = now;
   const std::uint64_t sid = s.id;
+  s.timer_due = due;
   s.timer = net_.schedule_at(due, [this, sid] { deliver_due(sid); });
 }
 
@@ -629,7 +651,10 @@ void EdgeNode::deliver_due(std::uint64_t sid) {
   const std::uint32_t seg = idx / config_.packets_per_segment;
   const SegmentKey key{s->content, seg};
   if (const auto* pkts = cache_.get(key)) {
-    s->last_send = net_.now();
+    // The scheduled send time, not now(): a late timer must not delay the
+    // rest of the burst. A session resumed by a segment fill was re-armed
+    // no earlier than the fill, so its limiter still counts from then.
+    s->last_send = s->timer_due;
     send_packet(*s, (*pkts)[idx - seg * config_.packets_per_segment], idx);
     ++s->next_packet;
     if (s->next_packet % config_.packets_per_segment == 0) {
@@ -728,6 +753,24 @@ void EdgeNode::on_segment(const std::string& content, std::uint32_t segment,
     fetch = std::move(it->second);
     inflight_.erase(it);
   }
+  // Cache zero-copy slices of the fetch response: each cached packet is a
+  // refcounted view of the one buffer the RPC already delivered. The edge
+  // never parses media it only relays.
+  std::vector<net::Payload> packets;
+  if (status == 200) {
+    try {
+      ByteReader r(body);
+      const std::uint32_t count = r.u32();
+      packets.reserve(r.bounded_count(count, 4));
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const std::uint32_t n = r.u32();
+        packets.push_back(body.slice(r.offset(), n));
+        r.raw(n);
+      }
+    } catch (const std::exception&) {
+      status = 0;  // malformed reply: a failed fill
+    }
+  }
   net::SimDuration elapsed{0};
   if (auto it = fetch_started_.find(key); it != fetch_started_.end()) {
     elapsed = net_.now() - it->second;
@@ -743,18 +786,6 @@ void EdgeNode::on_segment(const std::string& content, std::uint32_t segment,
   }
   if (status != 200) return;  // parked sessions stall; the player fails over
 
-  ByteReader r(body);
-  const std::uint32_t count = r.u32();
-  // Cache zero-copy slices of the fetch response: each cached packet is a
-  // refcounted view of the one buffer the RPC already delivered. The edge
-  // never parses media it only relays.
-  std::vector<net::Payload> packets;
-  packets.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t n = r.u32();
-    packets.push_back(body.slice(r.offset(), n));
-    r.raw(n);
-  }
   m_fetch_bytes_.inc(body.size());
   if (fetch.demand) m_miss_fill_us_.observe(elapsed.us);
   cache_.put(key, std::move(packets), body.size());

@@ -172,6 +172,9 @@ class EdgeNode {
     net::SimTime pace_epoch{};
     net::SimDuration pace_offset{};
     net::SimTime last_send{};
+    /// The instant the pacing timer was armed for; see
+    /// `StreamingServer`'s limiter.
+    net::SimTime timer_due{};
     std::optional<net::EventId> timer;
   };
 
@@ -195,7 +198,11 @@ class EdgeNode {
   void reply_to(net::HostId h, net::Port p, std::vector<std::byte> payload);
   ContentMeta& ensure_meta(const std::string& content,
                            const obs::TraceContext& ctx = {});
+  /// Parse an `/edge/meta` reply; a malformed one fails like a refusal.
   void on_meta(const std::string& content, std::span<const std::byte> body);
+  /// The meta fill failed (\p status, 0 for no or malformed reply): answer
+  /// every parked DESCRIBE with an error.
+  void fail_meta(const std::string& content, int status);
   void schedule_next(Session& s);
   void deliver_due(std::uint64_t sid);
   /// Send one cached wire packet: per-send frame header in the payload, the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "lod/net/bytes.hpp"
 
@@ -20,6 +21,14 @@ constexpr std::uint32_t kMinFragment = 64;
 constexpr std::uint32_t kFileMagic = 0x4c4f4441;    // "LODA"
 constexpr std::uint32_t kHeaderMagic = 0x4c4f4448;  // "LODH"
 constexpr std::uint32_t kPacketMagic = 0x4c4f4450;  // "LODP"
+
+// Serialized sizes: a packet's fixed header (magic, send time, padding,
+// payload count), a payload's fixed header including its data length, and
+// the smallest stream-table and index entries.
+constexpr std::size_t kPacketWireHeader = 4 + 8 + 4 + 4;
+constexpr std::size_t kPayloadWireHeader = 2 + 1 + 8 + 8 + 1 + 4 + 4 + 4 + 4;
+constexpr std::size_t kStreamWireMin = 2 + 1 + 4 + 8 + 2 + 2 + 4;
+constexpr std::size_t kIndexEntryWire = 8 + 4;
 
 std::uint64_t drm_nonce(std::uint16_t stream, std::uint32_t object) {
   return (static_cast<std::uint64_t>(stream) << 32) | object;
@@ -231,7 +240,10 @@ std::uint32_t seek_packet(const File& f, SimDuration t) {
 
 // --- Demuxer -------------------------------------------------------------------
 
-Demuxer::Demuxer(Header header) : header_(std::move(header)) {}
+Demuxer::Demuxer(const Header& header)
+    : protected_(header.drm.is_protected) {
+  assembling_.reserve(header.streams.size() + 1);  // + the script stream
+}
 
 void Demuxer::set_license(const DrmSystem* drm, License lic, std::string user) {
   drm_ = drm;
@@ -239,36 +251,63 @@ void Demuxer::set_license(const DrmSystem* drm, License lic, std::string user) {
   user_ = std::move(user);
 }
 
+void Demuxer::feed(const net::Payload& packet, net::SimTime local_now) {
+  PacketDecoder dec(packet.view());  // throws before anything is fed
+  const std::byte* base = packet.data();
+  PayloadView pl;
+  while (dec.next(pl)) {
+    accept(pl,
+           packet.slice(static_cast<std::size_t>(pl.data.data() - base),
+                        pl.data.size()),
+           local_now);
+  }
+}
+
 void Demuxer::feed(const DataPacket& packet, net::SimTime local_now) {
   for (const auto& pl : packet.payloads) {
-    Assembly& a = assembling_[pl.stream_id];
-    if (!a.active || a.object_id != pl.object_id) {
-      if (a.active && a.received < a.object_size) ++dropped_incomplete_;
-      a.active = true;
-      a.object_id = pl.object_id;
-      a.object_size = pl.object_size;
-      a.received = 0;
-      a.meta = EncodedUnit{pl.stream_id, pl.type,     pl.pts,
-                           pl.duration,  pl.object_size, pl.keyframe, 1.0f};
-      a.data.assign(pl.object_size, std::byte{0});
-    }
-    if (pl.offset + pl.data.size() <= a.data.size()) {
-      std::copy(pl.data.begin(), pl.data.end(), a.data.begin() + pl.offset);
-      a.received += static_cast<std::uint32_t>(pl.data.size());
-    }
-    if (a.received >= a.object_size) {
-      complete(a, local_now);
-      a.active = false;
-    }
+    accept(pl, net::Payload::copy_of(pl.data), local_now);
+  }
+}
+
+void Demuxer::accept(const PayloadHeader& pl, net::Payload bytes,
+                     net::SimTime local_now) {
+  auto it = std::find_if(
+      assembling_.begin(), assembling_.end(),
+      [&](const Assembly& x) { return x.stream_id == pl.stream_id; });
+  if (it == assembling_.end()) {
+    it = assembling_.insert(assembling_.end(), Assembly{});
+    it->stream_id = pl.stream_id;
+  }
+  Assembly& a = *it;
+  if (!a.active || a.object_id != pl.object_id) {
+    if (a.active && a.received < a.object_size) ++dropped_incomplete_;
+    a.active = true;
+    a.object_id = pl.object_id;
+    a.object_size = pl.object_size;
+    a.received = 0;
+    a.unit.clear();
+    a.unit.meta = EncodedUnit{pl.stream_id, pl.type,        pl.pts,
+                              pl.duration,  pl.object_size, pl.keyframe,
+                              1.0f};
+  }
+  const std::size_t len = bytes.size();
+  if (pl.offset + len <= a.object_size) {
+    a.unit.add(pl.offset, std::move(bytes));
+    a.received += static_cast<std::uint32_t>(len);
+  }
+  if (a.received >= a.object_size) {
+    complete(a, local_now);
+    a.active = false;
   }
 }
 
 void Demuxer::complete(Assembly& a, net::SimTime local_now) {
-  if (a.meta.stream_id == kScriptStreamId) {
+  if (a.unit.meta.stream_id == kScriptStreamId) {
     try {
-      ByteReader r(a.data);
+      const std::vector<std::byte> bytes = a.unit.data();
+      ByteReader r(bytes);
       ScriptCommand cmd;
-      cmd.at = a.meta.pts;
+      cmd.at = a.unit.meta.pts;
       cmd.type = r.str();
       cmd.param = r.str();
       ready_scripts_.push_back(std::move(cmd));
@@ -277,17 +316,54 @@ void Demuxer::complete(Assembly& a, net::SimTime local_now) {
     }
     return;
   }
-  DemuxedUnit u;
-  u.meta = a.meta;
-  u.data = std::move(a.data);
-  if (header_.drm.is_protected) {
-    const std::uint64_t nonce = drm_nonce(u.meta.stream_id, a.object_id);
-    const bool ok = drm_ && license_ &&
-                    drm_->decrypt_with_license(*license_, user_, local_now,
-                                               nonce, std::span<std::byte>(u.data));
+  if (protected_) {
+    // Decryption reads the bytes, so a licensed unit is joined here and
+    // carries its plaintext as one fragment.
+    bool ok = false;
+    if (drm_ && license_) {
+      std::vector<std::byte> bytes = a.unit.data();
+      const std::uint64_t nonce = drm_nonce(a.unit.meta.stream_id, a.object_id);
+      ok = drm_->decrypt_with_license(*license_, user_, local_now, nonce,
+                                      std::span<std::byte>(bytes));
+      if (ok) {
+        a.unit.clear();
+        a.unit.add(0, net::Payload(std::move(bytes)));
+      }
+    }
     if (!ok) undecryptable_ = true;  // surfaced encrypted: render will fail
   }
-  ready_units_.push_back(std::move(u));
+  ready_units_.push_back(std::move(a.unit));
+}
+
+// --- DemuxedUnit ----------------------------------------------------------------
+
+void DemuxedUnit::add(std::uint32_t offset, net::Payload bytes) {
+  // A received slice always has a body, even when empty, so an ownerless
+  // first fragment means none has arrived yet.
+  if (first_.bytes.owners() == 0) {
+    first_ = Fragment{offset, std::move(bytes)};
+    return;
+  }
+  if (!rest_) rest_ = std::make_unique<std::vector<Fragment>>();
+  rest_->push_back(Fragment{offset, std::move(bytes)});
+}
+
+void DemuxedUnit::clear() {
+  first_ = Fragment{};
+  rest_.reset();
+}
+
+std::vector<std::byte> DemuxedUnit::data() const {
+  std::vector<std::byte> out(meta.bytes, std::byte{0});
+  auto put = [&out](const Fragment& f) {
+    const auto v = f.bytes.view();
+    std::copy(v.begin(), v.end(), out.begin() + f.offset);
+  };
+  if (first_.bytes.owners() != 0) put(first_);
+  if (rest_) {
+    for (const auto& f : *rest_) put(f);
+  }
+  return out;
 }
 
 std::optional<DemuxedUnit> Demuxer::next_unit() {
@@ -368,13 +444,12 @@ Header parse_header(std::span<const std::byte> bytes) {
   h.drm.key_id = r.str();
   h.drm.license_url = r.str();
   const std::uint32_t n = r.u32();
-  h.streams.reserve(n);
+  h.streams.reserve(r.bounded_count(n, kStreamWireMin));
   for (std::uint32_t i = 0; i < n; ++i) h.streams.push_back(read_stream(r));
   return h;
 }
 
-std::vector<std::byte> serialize_packet(const DataPacket& p) {
-  ByteWriter w;
+void write_packet(ByteWriter& w, const DataPacket& p) {
   w.u32(kPacketMagic);
   w.i64(p.send_time.us);
   w.u32(p.pad_bytes);
@@ -390,28 +465,67 @@ std::vector<std::byte> serialize_packet(const DataPacket& p) {
     w.u32(pl.object_size);
     w.blob(pl.data);
   }
+}
+
+std::size_t packet_wire_size(const DataPacket& p) {
+  std::size_t n = kPacketWireHeader;
+  for (const auto& pl : p.payloads) n += kPayloadWireHeader + pl.data.size();
+  return n;
+}
+
+std::vector<std::byte> serialize_packet(const DataPacket& p) {
+  ByteWriter w;
+  w.reserve(packet_wire_size(p));
+  write_packet(w, p);
   return std::move(w).take();
 }
 
-DataPacket parse_packet(std::span<const std::byte> bytes) {
+PacketDecoder::PacketDecoder(std::span<const std::byte> bytes)
+    : bytes_(bytes) {
   ByteReader r(bytes);
   if (r.u32() != kPacketMagic) throw std::runtime_error("asf: bad packet magic");
-  DataPacket p;
-  p.send_time = {r.i64()};
-  p.pad_bytes = r.u32();
+  send_time_ = {r.i64()};
+  pad_bytes_ = r.u32();
+  count_ = r.u32();
+  pos_ = r.offset();
+  // Walk every payload once so that next() cannot fail half way through.
+  const std::size_t first = pos_;
+  PayloadView v;
+  while (next(v)) {
+  }
+  yielded_ = 0;
+  pos_ = first;
+}
+
+bool PacketDecoder::next(PayloadView& out) {
+  if (yielded_ == count_) return false;
+  ByteReader r(bytes_.subspan(pos_));
+  out.stream_id = r.u16();
+  out.type = static_cast<MediaType>(r.u8());
+  out.pts = {r.i64()};
+  out.duration = {r.i64()};
+  out.keyframe = r.u8() != 0;
+  out.object_id = r.u32();
+  out.offset = r.u32();
+  out.object_size = r.u32();
   const std::uint32_t n = r.u32();
-  p.payloads.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  out.data = r.raw(n);
+  pos_ += r.offset();
+  ++yielded_;
+  return true;
+}
+
+DataPacket parse_packet(std::span<const std::byte> bytes) {
+  PacketDecoder dec(bytes);
+  DataPacket p;
+  p.send_time = dec.send_time();
+  p.pad_bytes = dec.pad_bytes();
+  p.payloads.reserve(dec.payload_count());  // checked against the bytes
+  PayloadView v;
+  while (dec.next(v)) {
     Payload pl;
-    pl.stream_id = r.u16();
-    pl.type = static_cast<MediaType>(r.u8());
-    pl.pts = {r.i64()};
-    pl.duration = {r.i64()};
-    pl.keyframe = r.u8() != 0;
-    pl.object_id = r.u32();
-    pl.offset = r.u32();
-    pl.object_size = r.u32();
-    pl.data = r.blob();
+    static_cast<PayloadHeader&>(pl) = v;
+    pl.data.assign(v.data.begin(), v.data.end());
     p.payloads.push_back(std::move(pl));
   }
   return p;
@@ -422,7 +536,10 @@ std::vector<std::byte> serialize(const File& f) {
   w.u32(kFileMagic);
   w.blob(serialize_header(f.header));
   w.u32(static_cast<std::uint32_t>(f.packets.size()));
-  for (const auto& p : f.packets) w.blob(serialize_packet(p));
+  for (const auto& p : f.packets) {
+    w.u32(static_cast<std::uint32_t>(packet_wire_size(p)));
+    write_packet(w, p);
+  }
   w.u32(static_cast<std::uint32_t>(f.index.size()));
   for (const auto& e : f.index) {
     w.i64(e.time.us);
@@ -440,13 +557,13 @@ File parse(std::span<const std::byte> bytes) {
     f.header = parse_header(hb);
   }
   const std::uint32_t np = r.u32();
-  f.packets.reserve(np);
+  f.packets.reserve(r.bounded_count(np, 4 + kPacketWireHeader));
   for (std::uint32_t i = 0; i < np; ++i) {
     const auto pb = r.blob();
     f.packets.push_back(parse_packet(pb));
   }
   const std::uint32_t ni = r.u32();
-  f.index.reserve(ni);
+  f.index.reserve(r.bounded_count(ni, kIndexEntryWire));
   for (std::uint32_t i = 0; i < ni; ++i) {
     IndexEntry e;
     e.time = {r.i64()};

@@ -1,15 +1,17 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lod/media/codec.hpp"
 #include "lod/media/drm.hpp"
 #include "lod/media/object.hpp"
+#include "lod/net/bytes.hpp"
+#include "lod/net/payload.hpp"
 
 /// \file asf.hpp
 /// The Advanced Stream Format stand-in.
@@ -69,8 +71,8 @@ struct Header {
   const StreamInfo* find_stream(std::uint16_t id) const;
 };
 
-/// One payload inside a data packet: a whole access unit or a fragment.
-struct Payload {
+/// The header fields of one payload inside a data packet.
+struct PayloadHeader {
   std::uint16_t stream_id{0};
   MediaType type{MediaType::kVideo};
   SimDuration pts{};
@@ -79,7 +81,17 @@ struct Payload {
   std::uint32_t object_id{0};    ///< access-unit number within the stream
   std::uint32_t offset{0};       ///< fragment offset within the unit
   std::uint32_t object_size{0};  ///< total unit size (== data.size() if whole)
+};
+
+/// One payload inside a data packet: a whole access unit or a fragment.
+struct Payload : PayloadHeader {
   std::vector<std::byte> data;
+};
+
+/// One payload as it sits in a serialized packet: its header fields and a
+/// view of its bytes inside the packet buffer (see `PacketDecoder`).
+struct PayloadView : PayloadHeader {
+  std::span<const std::byte> data;
 };
 
 /// One fixed-size data packet.
@@ -147,9 +159,32 @@ class Muxer {
 // --- demuxing ----------------------------------------------------------------
 
 /// A reassembled access unit as produced by the demuxer.
-struct DemuxedUnit {
+///
+/// Ownership rule: unit bytes are slices until read. The fragments stay
+/// refcounted views of the packets they arrived in; `data()` joins them on
+/// demand, so a consumer that needs only `meta` (the player) copies no media.
+class DemuxedUnit {
+ public:
   EncodedUnit meta;
-  std::vector<std::byte> data;
+
+  /// The unit's bytes, joined from its fragments into a fresh buffer of
+  /// `meta.bytes` bytes (ranges no fragment covered read as zero).
+  std::vector<std::byte> data() const;
+
+ private:
+  friend class Demuxer;
+  struct Fragment {
+    std::uint32_t offset{0};
+    net::Payload bytes;
+  };
+  void add(std::uint32_t offset, net::Payload bytes);
+  void clear();
+
+  // Most units arrive in one packet: the first fragment lives inline, and
+  // only units split across packets allocate the rest. The demuxer queues
+  // these by the packetful, so the unit is kept small.
+  Fragment first_;
+  std::unique_ptr<std::vector<Fragment>> rest_;
 };
 
 /// Incremental demuxer: feed packets (in order received), pull out complete
@@ -159,14 +194,20 @@ struct DemuxedUnit {
 /// a newer unit on the same stream completes).
 class Demuxer {
  public:
-  /// \param drm,license,user,local_now_fn  needed only for protected content.
-  explicit Demuxer(Header header);
+  /// Only the header's DRM flag is kept: protected content needs a license
+  /// (`set_license`) to decrypt.
+  explicit Demuxer(const Header& header);
 
   /// Provide the license for protected content. Without a valid license the
   /// demuxer still reassembles but leaves payloads encrypted and flags it.
   void set_license(const DrmSystem* drm, License lic, std::string user);
 
-  /// Feed one packet. Completed units/scripts become available for polling.
+  /// Feed one serialized packet as received. Unit bytes become slices of
+  /// \p packet; nothing is copied. A malformed packet throws (see
+  /// `PacketDecoder`) before any of it is fed.
+  void feed(const net::Payload& packet, net::SimTime local_now = {});
+  /// Feed one in-memory packet. Each payload's bytes are copied into a slice
+  /// of their own; otherwise identical to feeding its serialized form.
   void feed(const DataPacket& packet, net::SimTime local_now = {});
 
   /// Pull the next completed media unit (pts order within arrival order).
@@ -178,25 +219,28 @@ class Demuxer {
   bool undecryptable() const { return undecryptable_; }
   std::uint64_t dropped_incomplete() const { return dropped_incomplete_; }
 
-  const Header& header() const { return header_; }
-
  private:
   struct Assembly {
+    std::uint16_t stream_id{0};
+    bool active{false};
     std::uint32_t object_id{0};
     std::uint32_t object_size{0};
     std::uint32_t received{0};
-    EncodedUnit meta;
-    std::vector<std::byte> data;
-    bool active{false};
+    DemuxedUnit unit;
   };
 
+  /// Add one payload whose bytes are \p bytes to its unit's assembly.
+  void accept(const PayloadHeader& pl, net::Payload bytes,
+              net::SimTime local_now);
   void complete(Assembly& a, net::SimTime local_now);
 
-  Header header_;
+  bool protected_{false};
   const DrmSystem* drm_{nullptr};
   std::optional<License> license_;
   std::string user_;
-  std::unordered_map<std::uint16_t, Assembly> assembling_;
+  /// One assembly per stream, found by linear search: a lecture has two or
+  /// three streams.
+  std::vector<Assembly> assembling_;
   std::vector<DemuxedUnit> ready_units_;
   std::vector<ScriptCommand> ready_scripts_;
   std::size_t unit_cursor_{0};
@@ -214,8 +258,41 @@ std::vector<std::byte> serialize(const File& f);
 File parse(std::span<const std::byte> bytes);
 
 /// Serialize / parse a single packet (for live streams on the wire).
+/// `parse_packet` copies every payload out of \p bytes; see `PacketDecoder`
+/// for the copy-free walk it is built on.
 std::vector<std::byte> serialize_packet(const DataPacket& p);
 DataPacket parse_packet(std::span<const std::byte> bytes);
+/// Append the serialized form of \p p to \p w (what `serialize_packet`
+/// returns, without the intermediate buffer).
+void write_packet(net::ByteWriter& w, const DataPacket& p);
+/// Size in bytes of `serialize_packet(p)`.
+std::size_t packet_wire_size(const DataPacket& p);
+
+/// The one decoder of serialized data packets. The constructor bounds-checks
+/// the whole packet, throwing `std::runtime_error` on a bad magic and
+/// `std::out_of_range` on truncation; `next()` then walks the payloads in
+/// place, yielding views into \p bytes without copying or allocating. The
+/// bytes must outlive the decoder and the views.
+class PacketDecoder {
+ public:
+  explicit PacketDecoder(std::span<const std::byte> bytes);
+
+  SimDuration send_time() const { return send_time_; }
+  std::uint32_t pad_bytes() const { return pad_bytes_; }
+  std::uint32_t payload_count() const { return count_; }
+
+  /// The next payload, or false after the last.
+  bool next(PayloadView& out);
+
+ private:
+  std::span<const std::byte> bytes_;
+  SimDuration send_time_{};
+  std::uint32_t pad_bytes_{0};
+  std::uint32_t count_{0};
+  std::uint32_t yielded_{0};
+  std::size_t pos_{0};  ///< offset of the next payload
+};
+
 std::vector<std::byte> serialize_header(const Header& h);
 Header parse_header(std::span<const std::byte> bytes);
 

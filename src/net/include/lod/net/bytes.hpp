@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -46,6 +47,9 @@ class ByteWriter {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
 
+  /// Pre-size the buffer for \p n bytes in total; output is unchanged.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::byte>& bytes() const& { return buf_; }
   std::vector<std::byte> take() && { return std::move(buf_); }
@@ -90,6 +94,13 @@ class ByteReader {
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return remaining() == 0; }
+  /// How many of \p n elements, a count read off the wire, the unread bytes
+  /// can hold when each element encodes to at least \p min_bytes. Reserve
+  /// this, never \p n itself: a hostile count must not become a huge
+  /// allocation before the truncated input is noticed.
+  std::size_t bounded_count(std::uint32_t n, std::size_t min_bytes) const {
+    return std::min<std::size_t>(n, remaining() / min_bytes);
+  }
   /// Bytes consumed so far — lets a caller slice a shared buffer at the
   /// reader's position instead of copying a blob out of it.
   std::size_t offset() const { return pos_; }

@@ -147,7 +147,9 @@ class Network : public Transport {
   // --- introspection --------------------------------------------------------
 
   /// Shortest path (hop count) from a to b, inclusive of endpoints.
-  /// Empty if unreachable.
+  /// Empty if unreachable. Each (a, b) path is found by BFS on first use and
+  /// kept in a route table that `add_link` clears; `send`,
+  /// `reserve_channel` and `path_latency` all read that table.
   std::vector<HostId> route(HostId a, HostId b) const;
 
   /// Sum of per-hop propagation latency along route(a, b) — the static
@@ -184,9 +186,15 @@ class Network : public Transport {
   LinkDir* find_dir(HostId from, HostId to);
   const LinkDir* find_dir(HostId from, HostId to) const;
 
+  using Path = std::shared_ptr<const std::vector<HostId>>;
+  /// The route-table entry for a != b, both known hosts (filled on first
+  /// use). Packets in flight share it, so a table cleared by `add_link`
+  /// leaves their paths intact.
+  const Path& cached_route(HostId a, HostId b) const;
+  std::vector<HostId> bfs_route(HostId a, HostId b) const;
+
   /// Schedule the hop from `from` to `to`, then recurse along the path.
-  void forward(Packet p, std::size_t hop_index,
-               std::shared_ptr<const std::vector<HostId>> path);
+  void forward(Packet p, std::size_t hop_index, Path path);
   void deliver(const Packet& p);
 
   Simulator& sim_;
@@ -199,6 +207,8 @@ class Network : public Transport {
   obs::Counter bytes_sent_;
   std::vector<HostState> hosts_;
   std::unordered_map<std::uint64_t, LinkDir> links_;
+  /// Full-path route table keyed by dir_key(src, dst).
+  mutable std::unordered_map<std::uint64_t, Path> routes_;
   std::unordered_map<ChannelId, ChannelReservation> channels_;
   ChannelId next_channel_{1};
   std::uint64_t next_packet_{1};

@@ -32,6 +32,7 @@ void Network::add_link(HostId a, HostId b, const LinkConfig& cfg) {
   if (std::find(na.begin(), na.end(), b) == na.end()) na.push_back(b);
   auto& nb = hosts_[b].neighbors;
   if (std::find(nb.begin(), nb.end(), a) == nb.end()) nb.push_back(a);
+  routes_.clear();  // a new link can shorten any path
 }
 
 void Network::set_link_config(HostId from, HostId to, const LinkConfig& cfg) {
@@ -58,8 +59,20 @@ void Network::unbind(HostId h, Port port) { hosts_.at(h).ports.erase(port); }
 std::vector<HostId> Network::route(HostId a, HostId b) const {
   if (a >= hosts_.size() || b >= hosts_.size()) return {};
   if (a == b) return {a};
-  // BFS over the (small) topology; recomputed per call which is fine at the
-  // scales the benches use. A routing cache would be premature here.
+  return *cached_route(a, b);
+}
+
+const Network::Path& Network::cached_route(HostId a, HostId b) const {
+  Path& slot = routes_[dir_key(a, b)];
+  if (!slot) {
+    slot = std::make_shared<const std::vector<HostId>>(bfs_route(a, b));
+  }
+  return slot;
+}
+
+std::vector<HostId> Network::bfs_route(HostId a, HostId b) const {
+  // BFS over the (small) topology. Neighbours are visited in link order, so
+  // among equal-hop paths the one through the earliest-added link wins.
   std::vector<HostId> prev(hosts_.size(), a);
   std::vector<bool> seen(hosts_.size(), false);
   std::deque<HostId> q{a};
@@ -85,7 +98,8 @@ std::vector<HostId> Network::route(HostId a, HostId b) const {
 
 SimDuration Network::path_latency(HostId a, HostId b) const {
   if (a == b) return SimDuration{0};
-  const auto path = route(a, b);
+  if (a >= hosts_.size() || b >= hosts_.size()) return SimDuration{-1};
+  const auto& path = *cached_route(a, b);
   if (path.size() < 2) return SimDuration{-1};
   SimDuration total{0};
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -112,14 +126,13 @@ bool Network::send(Packet p) {
     sim_.schedule_after(usec(0), [this, p = std::move(p)] { deliver(p); });
     return true;
   }
-  auto path = std::make_shared<const std::vector<HostId>>(route(p.src, p.dst));
+  Path path = cached_route(p.src, p.dst);
   if (path->size() < 2) return false;
   forward(std::move(p), 0, std::move(path));
   return true;
 }
 
-void Network::forward(Packet p, std::size_t hop_index,
-                      std::shared_ptr<const std::vector<HostId>> path) {
+void Network::forward(Packet p, std::size_t hop_index, Path path) {
   const HostId from = (*path)[hop_index];
   const HostId to = (*path)[hop_index + 1];
   LinkDir* dir = find_dir(from, to);
@@ -218,7 +231,10 @@ void Network::deliver(const Packet& p) {
 std::optional<ChannelId> Network::reserve_channel(HostId src, HostId dst,
                                                   std::int64_t rate_bps) {
   if (rate_bps <= 0) return std::nullopt;
-  const auto path = route(src, dst);
+  if (src >= hosts_.size() || dst >= hosts_.size() || src == dst) {
+    return std::nullopt;
+  }
+  const auto& path = *cached_route(src, dst);
   if (path.size() < 2) return std::nullopt;
   // Admission control: every on-path direction must have spare capacity.
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {

@@ -15,6 +15,7 @@
 #include "lod/media/drm.hpp"
 #include "lod/net/transport.hpp"
 #include "lod/streaming/protocol.hpp"
+#include "lod/streaming/render_queue.hpp"
 #include "lod/streaming/selector.hpp"
 
 /// \file player.hpp
@@ -359,11 +360,6 @@ class Player {
     kIdle, kOpening, kBuffering, kPlaying, kPaused, kFinished
   };
 
-  struct BufferedUnit {
-    media::EncodedUnit meta;
-    // Content bytes are dropped after demux; the renderer only needs meta.
-  };
-
   /// Mint the per-session trace + root span (user-facing opens only; a
   /// failover reopen stays inside the original session's trace).
   void begin_session_trace();
@@ -383,13 +379,11 @@ class Player {
                           std::uint32_t start_index);
   void handle_control(const net::ReliableEndpoint::Message& m);
   void handle_data(const net::Datagram& p);
-  /// Terminal decode: parse serialized packet bytes (dropping malformed
-  /// input) and feed the demuxer. The single point where data-plane bytes
-  /// are read out of their shared buffer.
+  /// Terminal decode: feed serialized packet bytes to the demuxer (dropping
+  /// malformed input) and push its units through the buffering state
+  /// machine. Only unit metadata is kept, so media bytes are never copied.
   void ingest_bytes(const net::Payload& bytes);
-  /// Push one ASF packet through the demuxer and the buffering state machine.
-  void ingest(const media::asf::DataPacket& pkt);
-  /// Drain the reordering buffer's contiguous prefix into ingest().
+  /// Drain the reordering buffer's contiguous prefix into ingest_bytes().
   void drain_reorder();
   /// NACK every missing index in [first, last) with attempts remaining.
   void request_repair(std::uint32_t first, std::uint32_t last);
@@ -448,7 +442,7 @@ class Player {
   net::SimDuration base_pts_{};
   net::SimDuration paused_pos_{};
   double rate_{1.0};
-  std::multimap<std::int64_t, BufferedUnit> buffer_;  // pts -> unit
+  RenderQueue buffer_;
   std::map<std::int64_t, std::vector<media::asf::ScriptCommand>> scripts_;
   std::optional<media::asf::ScriptCommand> pending_slide_;
   /// Prefetch bookkeeping: url -> completion instant (nullopt = in flight).

@@ -191,6 +191,10 @@ class StreamingServer {
     /// send_time of packet[next_packet] maps to this wall instant.
     net::SimTime pace_epoch{};
     net::SimTime last_send{};  ///< burst-rate limiter state
+    /// The instant the pacing timer was armed for. It becomes `last_send`
+    /// when the timer fires, so a late timer does not push back the rest
+    /// of the burst.
+    net::SimTime timer_due{};
     net::SimDuration pace_offset{};  ///< media send-time at pace_epoch
     std::optional<net::EventId> timer;
     SessionCounters stats;

@@ -59,6 +59,7 @@ net::SimTime Player::local_now() const { return net_.local_now(host_); }
 void Player::enter_finished() {
   const bool was_finished = state_ == State::kFinished;
   state_ = State::kFinished;
+  buffer_.clear();  // nothing renders any more: release the storage
   if (!was_finished && observer_) observer_->on_finished();
   if (!was_finished && cfg_.auto_stop_on_finish) send_session_stop();
   if (session_span_ != 0) {
@@ -753,24 +754,19 @@ void Player::drain_reorder() {
 }
 
 void Player::ingest_bytes(const net::Payload& bytes) {
-  media::asf::DataPacket pkt;
-  try {
-    pkt = media::asf::parse_packet(bytes);
-  } catch (const std::exception&) {
-    return;  // malformed packet body: drop
-  }
-  ingest(pkt);
-}
-
-void Player::ingest(const media::asf::DataPacket& pkt) {
   if (!demux_) return;
-  demux_->feed(pkt, local_now());
+  try {
+    demux_->feed(bytes, local_now());
+  } catch (const std::exception&) {
+    return;  // malformed packet body: dropped whole, before any of it is fed
+  }
   if (demux_->undecryptable()) drm_blocked_ = true;
 
+  // Only what rendering needs is kept: the unit's byte slices die with `u`.
   while (auto u = demux_->next_unit()) {
     if (discard_below_.us >= 0 && u->meta.pts < discard_below_) continue;
     if (drm_blocked_) continue;  // cannot render protected media
-    buffer_.emplace(u->meta.pts.us, BufferedUnit{u->meta});
+    buffer_.push({u->meta.pts, u->meta.stream_id, u->meta.type});
   }
   while (auto s = demux_->next_script()) {
     if (discard_below_.us >= 0 && s->at < discard_below_) {
@@ -789,8 +785,7 @@ void Player::ingest(const media::asf::DataPacket& pkt) {
     maybe_start_rendering();
   } else if (state_ == State::kPlaying && waiting_since_ && !buffer_.empty()) {
     // Stall recovery: rebase the render clock by how late we are.
-    const net::SimDuration pts{buffer_.begin()->first};
-    const net::SimTime deadline_true = unit_due(pts);
+    const net::SimTime deadline_true = unit_due(buffer_.front().pts);
     const net::SimTime now_true = net_.now();
     if (now_true > deadline_true) {
       const net::SimDuration late = now_true - deadline_true;
@@ -825,8 +820,8 @@ void Player::maybe_start_rendering() {
     }
     return;
   }
-  const net::SimDuration lo{buffer_.begin()->first};
-  const net::SimDuration hi{buffer_.rbegin()->first};
+  const net::SimDuration lo = buffer_.front().pts;
+  const net::SimDuration hi = buffer_.back().pts;
   if (hi - lo < effective_preroll() && !eos_received_ && !live_) return;
   // Live joins start as soon as half a second is buffered.
   if (live_ && hi - lo < net::msec(500) && !eos_received_) return;
@@ -1000,8 +995,7 @@ void Player::arm_render_timer() {
     }
     return;
   }
-  const net::SimDuration pts{buffer_.begin()->first};
-  net::SimTime due = unit_due(pts);
+  net::SimTime due = unit_due(buffer_.front().pts);
   const net::SimTime now = net_.now();
   if (due < now) due = now;
   render_timer_ = net_.schedule_at(due, [this, alive = alive_] {
@@ -1026,10 +1020,9 @@ void Player::render_due() {
   const net::SimTime now = net_.now();
   const net::SimTime now_local = local_now();
 
-  while (!buffer_.empty() &&
-         unit_due(net::SimDuration{buffer_.begin()->first}) <= now) {
-    auto node = buffer_.extract(buffer_.begin());
-    const auto& meta = node.mapped().meta;
+  while (!buffer_.empty() && unit_due(buffer_.front().pts) <= now) {
+    const QueuedUnit meta = buffer_.front();
+    buffer_.pop_front();
     const RenderEvent ev{meta.type, meta.stream_id, meta.pts, now, now_local};
     rendered_.push_back(ev);
     m_units_rendered_.inc();

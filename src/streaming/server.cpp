@@ -463,11 +463,12 @@ void StreamingServer::schedule_next(Session& s) {
   const net::SimTime now = net_.now();
   if (due < now) due = now;
   const std::uint64_t sid = s.id;
+  s.timer_due = due;
   s.timer = net_.schedule_at(due, [this, sid] {
     Session* sp = find_session(sid);
     if (!sp || sp->stopped || sp->paused || !sp->file) return;
     sp->timer.reset();
-    sp->last_send = net_.now();
+    sp->last_send = sp->timer_due;
     send_packet(*sp, cached_packet(sp->file, sp->next_packet),
                 static_cast<std::uint32_t>(sp->next_packet));
     ++sp->next_packet;

@@ -296,7 +296,7 @@ void SyncAgent::handle_delta_request(const net::Datagram& d,
   }
   std::vector<BlockSum> peer;
   const std::uint32_t n = r.u32();
-  peer.reserve(n);
+  peer.reserve(r.bounded_count(n, 4 + 8));
   for (std::uint32_t i = 0; i < n; ++i) {
     BlockSum s;
     s.id = r.u32();

@@ -78,7 +78,7 @@ void register_floor_block(SessionState& s, std::uint32_t id, std::string name,
         ::lod::lod::FloorControl::State st;
         load_marking(r, st.marking);
         const std::uint32_t n = r.u32();
-        st.fifo.reserve(n);
+        st.fifo.reserve(r.bounded_count(n, 4));
         for (std::uint32_t i = 0; i < n; ++i) st.fifo.push_back(r.str());
         f->restore(st);
       });
@@ -123,7 +123,7 @@ void register_player_reorder_block(SessionState& s, std::uint32_t id,
         snap.repair_total = r.i64();
         snap.eos_received = r.u8() != 0;
         const std::uint32_t n = r.u32();
-        snap.held.reserve(n);
+        snap.held.reserve(r.bounded_count(n, 4 + 4));
         for (std::uint32_t i = 0; i < n; ++i) {
           const std::uint32_t index = r.u32();
           snap.held.emplace_back(index, r.blob());
@@ -159,10 +159,10 @@ void register_player_repair_block(SessionState& s, std::uint32_t id,
         snap.repairs_requested = r.u64();
         snap.repairs_received = r.u64();
         const std::uint32_t nr = r.u32();
-        snap.received.reserve(nr);
+        snap.received.reserve(r.bounded_count(nr, 4));
         for (std::uint32_t i = 0; i < nr; ++i) snap.received.push_back(r.u32());
         const std::uint32_t nn = r.u32();
-        snap.nacks.reserve(nn);
+        snap.nacks.reserve(r.bounded_count(nn, 4 + 1));
         for (std::uint32_t i = 0; i < nn; ++i) {
           const std::uint32_t index = r.u32();
           snap.nacks.emplace_back(index, r.u8());
@@ -186,7 +186,7 @@ void register_player_slide_cache_block(SessionState& s, std::uint32_t id,
         r.expect_marker(kMarkSlide);
         streaming::PlayerSlideCacheSnapshot snap;
         const std::uint32_t n = r.u32();
-        snap.cached.reserve(n);
+        snap.cached.reserve(r.bounded_count(n, 4));
         for (std::uint32_t i = 0; i < n; ++i) snap.cached.push_back(r.str());
         p->restore_slide_cache(snap);
       });

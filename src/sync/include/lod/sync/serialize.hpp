@@ -105,6 +105,10 @@ class StateReader {
 
   std::size_t remaining() const { return r_.remaining(); }
   bool done() const { return r_.done(); }
+  /// See `net::ByteReader::bounded_count`.
+  std::size_t bounded_count(std::uint32_t n, std::size_t min_bytes) const {
+    return r_.bounded_count(n, min_bytes);
+  }
 
  private:
   net::ByteReader r_;

@@ -98,7 +98,7 @@ InputLog parse_input_log(std::span<const std::byte> bytes) {
   log.sessions = r.u32();
   r.expect_marker(kMarkInputs);
   const std::uint32_t n = r.u32();
-  log.records.reserve(n);
+  log.records.reserve(r.bounded_count(n, 8 + 4 + 1 + 8));
   for (std::uint32_t i = 0; i < n; ++i) {
     ::lod::lod::SessionInput in;
     in.t_us = r.i64();

@@ -534,6 +534,120 @@ TEST_F(EdgeFixture, EdgeAnswersDescribeAndTimesyncLikeTheOrigin) {
 
 // --- WMPS integration --------------------------------------------------------
 
+TEST_F(EdgeFixture, SegmentReplyIsByteIdenticalToPerPacketBlobs) {
+  publish("lec", sec(10));
+  const media::asf::File* f = server->stored("lec");
+  ASSERT_NE(f, nullptr);
+  constexpr std::uint32_t kPer = 32;
+  const std::uint32_t segments =
+      static_cast<std::uint32_t>((f->packets.size() + kPer - 1) / kPer);
+  ASSERT_GE(segments, 2u);
+  for (std::uint32_t seg = 0; seg < segments; ++seg) {
+    net::ByteWriter req;
+    req.str("lec");
+    req.u32(seg);
+    req.u32(kPer);
+    streaming::proto::write_trace_context(req, {});
+    const auto [status, body] = gateway->rpc().handle("/edge/segment",
+                                                      req.bytes());
+    ASSERT_EQ(status, 200);
+    // The construction the gateway used before it wrote packets in place.
+    const std::size_t first = static_cast<std::size_t>(seg) * kPer;
+    const std::size_t last = std::min<std::size_t>(first + kPer,
+                                                   f->packets.size());
+    net::ByteWriter want;
+    want.u32(static_cast<std::uint32_t>(last - first));
+    for (std::size_t i = first; i < last; ++i) {
+      want.blob(media::asf::serialize_packet(f->packets[i]));
+    }
+    EXPECT_EQ(body, want.bytes()) << "segment " << seg;
+  }
+}
+
+/// An origin whose gateway answers with hostile element counts: the edge
+/// must treat the reply as a failed fill instead of reserving for the count.
+struct HostileOriginFixture : ::testing::Test {
+  HostileOriginFixture() : network(sim, 99) {
+    origin_host = network.add_host("origin");
+    edge_host = network.add_host("edge");
+    client_host = network.add_host("client");
+    net::LinkConfig link;
+    link.latency = msec(5);
+    network.add_link(origin_host, edge_host, link);
+    network.add_link(edge_host, client_host, link);
+    server = std::make_unique<streaming::StreamingServer>(network, origin_host);
+    streaming::EncodeJob job;
+    job.profile = *media::find_profile("Video 250k DSL/cable");
+    media::LectureVideoSource v(sec(5), job.profile.fps, job.profile.width,
+                                job.profile.height, 7);
+    media::LectureAudioSource a(sec(5), job.profile.audio_sample_rate());
+    server->publish("lec", streaming::encode_lecture(job, v, a, {}).file);
+    // The genuine gateway listens elsewhere; the hostile one forwards to it
+    // for whatever the test does not corrupt.
+    real_gateway = std::make_unique<OriginGateway>(network, *server, 9554);
+    hostile = std::make_unique<net::RpcServer>(network, origin_host,
+                                               kOriginGatewayPort);
+    EdgeConfig ec;
+    ec.origin = origin_host;
+    edge = std::make_unique<EdgeNode>(network, edge_host, ec);
+  }
+
+  std::unique_ptr<streaming::Player> play() {
+    streaming::PlayerConfig cfg;
+    cfg.model = streaming::SyncModel::kEtpn;
+    cfg.web_server = origin_host;
+    auto p = std::make_unique<streaming::Player>(network, client_host, cfg);
+    p->open_and_play(edge_host, "lec");
+    sim.run_until(SimTime{sec(10).us});
+    return p;
+  }
+
+  net::Simulator sim;
+  net::Network network;
+  net::HostId origin_host{}, edge_host{}, client_host{};
+  std::unique_ptr<streaming::StreamingServer> server;
+  std::unique_ptr<OriginGateway> real_gateway;
+  std::unique_ptr<net::RpcServer> hostile;
+  std::unique_ptr<EdgeNode> edge;
+};
+
+TEST_F(HostileOriginFixture, MetaReplyWithHostileCountsFailsTheDescribe) {
+  hostile->route("/edge/meta", [this](std::string_view path,
+                                      std::span<const std::byte> body) {
+    auto [status, reply] = real_gateway->rpc().handle(path, body);
+    // Keep the header blob, then claim 2^32 - 1 packets and index entries.
+    net::ByteReader r(reply);
+    const auto header = r.blob();
+    net::ByteWriter w;
+    w.blob(header);
+    w.u32(0xFFFFFFFF);
+    w.u32(0xFFFFFFFF);
+    return std::pair{status, std::move(w).take()};
+  });
+  const auto p = play();
+  EXPECT_EQ(p->packets_received(), 0u);
+  EXPECT_FALSE(p->playing());
+  EXPECT_EQ(edge->active_sessions(), 0u);
+}
+
+TEST_F(HostileOriginFixture, SegmentReplyWithHostileCountIsAFailedFill) {
+  hostile->route("/edge/meta", [this](std::string_view path,
+                                      std::span<const std::byte> body) {
+    return real_gateway->rpc().handle(path, body);
+  });
+  hostile->route("/edge/segment", [](std::string_view,
+                                     std::span<const std::byte>) {
+    net::ByteWriter w;
+    w.u32(0xFFFFFFFF);  // packet count, and nothing after it
+    return std::pair{200, std::move(w).take()};
+  });
+  const auto p = play();
+  EXPECT_EQ(p->packets_received(), 0u);
+  EXPECT_TRUE(p->buffering());  // parked on fills that never land
+  EXPECT_GT(edge->prefetch_fetches() + edge->demand_fetches(), 0u);
+  EXPECT_EQ(edge->cache().entries(), 0u);
+}
+
 TEST(WmpsEdge, CandidateSitesListEdgesFirstOriginLast) {
   namespace app = ::lod::lod;
   net::Simulator sim;

@@ -151,7 +151,7 @@ TEST(Muxer, ZeroByteUnitSurvives) {
   const File f = mux.finalize();
   const auto r = demux_all(f);
   ASSERT_EQ(r.units.size(), 1u);
-  EXPECT_TRUE(r.units[0].data.empty());
+  EXPECT_TRUE(r.units[0].data().empty());
 }
 
 TEST(Muxer, ExplicitContentPreserved) {
@@ -161,7 +161,7 @@ TEST(Muxer, ExplicitContentPreserved) {
   mux.add_unit(u, content);
   const auto r = demux_all(mux.finalize());
   ASSERT_EQ(r.units.size(), 1u);
-  EXPECT_EQ(r.units[0].data, content);
+  EXPECT_EQ(r.units[0].data(), content);
 }
 
 // --- demuxing ----------------------------------------------------------------
@@ -180,7 +180,7 @@ TEST(Demuxer, RoundTripsAllUnitsAndScripts) {
 TEST(Demuxer, ReassembledSizesMatchMeta) {
   const auto r = demux_all(make_small_file());
   for (const auto& u : r.units) {
-    EXPECT_EQ(u.data.size(), u.meta.bytes);
+    EXPECT_EQ(u.data().size(), u.meta.bytes);
   }
 }
 

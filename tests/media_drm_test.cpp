@@ -136,7 +136,7 @@ TEST(DrmContainer, LicensedPlayerDecodesCleanly) {
   for (const auto& p : file.packets) d.feed(p);
   auto u = d.next_unit();
   ASSERT_TRUE(u.has_value());
-  EXPECT_EQ(u->data, content);
+  EXPECT_EQ(u->data(), content);
   EXPECT_FALSE(d.undecryptable());
 }
 
@@ -153,7 +153,7 @@ TEST(DrmContainer, UnlicensedPlayerGetsGarbage) {
   for (const auto& p : file.packets) d.feed(p);
   auto u = d.next_unit();
   ASSERT_TRUE(u.has_value());
-  EXPECT_NE(u->data, content);   // still encrypted
+  EXPECT_NE(u->data(), content);   // still encrypted
   EXPECT_TRUE(d.undecryptable());
 }
 
@@ -172,7 +172,7 @@ TEST(DrmContainer, WrongUserLicenseGetsGarbage) {
   for (const auto& p : file.packets) d.feed(p);
   auto u = d.next_unit();
   ASSERT_TRUE(u.has_value());
-  EXPECT_NE(u->data, content);
+  EXPECT_NE(u->data(), content);
   EXPECT_TRUE(d.undecryptable());
 }
 
@@ -191,7 +191,7 @@ TEST(DrmContainer, UnprotectedContentNeedsNoLicense) {
   for (const auto& p : file.packets) d.feed(p);
   auto u = d.next_unit();
   ASSERT_TRUE(u.has_value());
-  EXPECT_EQ(u->data, content);
+  EXPECT_EQ(u->data(), content);
   EXPECT_FALSE(d.undecryptable());
 }
 

@@ -352,5 +352,78 @@ TEST(ChannelMultiHop, ReservesEveryHop) {
   EXPECT_EQ(ch ? net.channel_info(*ch)->path.size() : 0u, 2u);
 }
 
+TEST(RouteTable, ShorterLinkAddedAfterTrafficTakesEffect) {
+  Simulator sim;
+  Network net(sim);
+  const HostId a = net.add_host("a");
+  const HostId m = net.add_host("m");
+  const HostId b = net.add_host("b");
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 8'000'000;
+  cfg.latency = msec(2);
+  net.add_link(a, m, cfg);
+  net.add_link(m, b, cfg);
+
+  std::vector<SimTime> at;
+  net.bind(b, 9, [&](const Packet&) { at.push_back(sim.now()); });
+  auto send = [&] {
+    Packet p;
+    p.src = a;
+    p.dst = b;
+    p.dst_port = 9;
+    p.wire_size = 1000;
+    ASSERT_TRUE(net.send(std::move(p)));
+  };
+  // Traffic over the two-hop path fills the route table.
+  send();
+  sim.run();
+  ASSERT_EQ(at.size(), 1u);
+  EXPECT_EQ(at[0].us, 6000);  // 2 x (1 ms serialize + 2 ms latency)
+  EXPECT_EQ(net.route(a, b), (std::vector<HostId>{a, m, b}));
+  EXPECT_EQ(net.path_latency(a, b), msec(4));
+
+  // A direct link replaces the cached path for every reader.
+  LinkConfig direct = cfg;
+  direct.latency = msec(1);
+  net.add_link(a, b, direct);
+  EXPECT_EQ(net.route(a, b), (std::vector<HostId>{a, b}));
+  EXPECT_EQ(net.route(b, a), (std::vector<HostId>{b, a}));
+  EXPECT_EQ(net.path_latency(a, b), msec(1));
+  const SimTime sent = sim.now();
+  send();
+  sim.run();
+  ASSERT_EQ(at.size(), 2u);
+  EXPECT_EQ((at[1] - sent).us, 2000);  // 1 ms serialize + 1 ms latency
+  const auto ch = net.reserve_channel(a, b, 100'000);
+  ASSERT_TRUE(ch.has_value());
+  const auto info = net.channel_info(*ch);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->path,
+            (std::vector<std::pair<HostId, HostId>>{{a, b}}));
+}
+
+TEST(RouteTable, EqualCostPathsFollowLinkOrder) {
+  // Two equal-hop paths a-x-b and a-y-b: the path through the link added
+  // first is chosen, before and after an unrelated link clears the table.
+  Simulator sim;
+  Network net(sim);
+  const HostId a = net.add_host("a");
+  const HostId x = net.add_host("x");
+  const HostId y = net.add_host("y");
+  const HostId b = net.add_host("b");
+  const HostId c = net.add_host("c");
+  net.add_link(a, x, {});
+  net.add_link(a, y, {});
+  net.add_link(x, b, {});
+  net.add_link(y, b, {});
+  EXPECT_EQ(net.route(a, b), (std::vector<HostId>{a, x, b}));
+  EXPECT_EQ(net.route(b, a), (std::vector<HostId>{b, x, a}));
+  net.add_link(b, c, {});
+  EXPECT_EQ(net.route(a, b), (std::vector<HostId>{a, x, b}));
+  EXPECT_EQ(net.route(a, c), (std::vector<HostId>{a, x, b, c}));
+  EXPECT_TRUE(net.route(a, 99).empty());
+  EXPECT_EQ(net.path_latency(a, 99), SimDuration{-1});
+}
+
 }  // namespace
 }  // namespace lod::net

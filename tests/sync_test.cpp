@@ -11,6 +11,7 @@
 #include "lod/streaming/server.hpp"
 #include "lod/sync/blocks.hpp"
 #include "lod/sync/detector.hpp"
+#include "lod/sync/replay.hpp"
 #include "lod/sync/serialize.hpp"
 #include "lod/sync/state.hpp"
 
@@ -429,6 +430,101 @@ TEST(SyncMidPlayout, SerializeDeserializeSerializeIsByteIdentical) {
   // Re-applying its own cursor did not move the playhead.
   EXPECT_EQ(player.position().us, pos_before.us);
   EXPECT_EQ(floor.holder(), "teacher");
+}
+
+// --- hostile element counts ---------------------------------------------------------
+//
+// Every decoder below reads an element count off the wire. Reserving for
+// 2^32 - 1 elements of a few bytes each before checking the input asks for
+// tens of gigabytes; each must fail as truncated input instead.
+
+constexpr std::uint32_t kHostileCount = 0xFFFFFFFF;
+
+void put_u32(std::vector<std::byte>& b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    b[at + static_cast<std::size_t>(i)] = static_cast<std::byte>(v >> (8 * i));
+  }
+}
+
+/// Apply \p state's own full image with the u32 that ends \p from_end bytes
+/// before the end of its last block overwritten by a hostile count (the
+/// image ends with that block and an 8-byte checksum).
+SessionState::ApplyResult apply_hostile(SessionState& state,
+                                        std::size_t from_end) {
+  state.refresh();
+  auto img = state.serialize_full();
+  put_u32(img, img.size() - 8 - from_end, kHostileCount);
+  return state.apply(span_of(img));
+}
+
+void expect_truncated(const SessionState::ApplyResult& r) {
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("truncated"), std::string::npos) << r.error;
+}
+
+TEST(HostileCounts, FloorBlockQueueCount) {
+  ::lod::lod::FloorControl floor({"teacher", "student"});
+  SessionState state;
+  register_floor_block(state, 1, "floor", &floor);
+  expect_truncated(apply_hostile(state, 4));  // queue length is last
+}
+
+struct HostilePlayerBlocks : ::testing::Test {
+  net::Simulator sim;
+  net::Network network{sim, 5};
+  net::HostId host{network.add_host("client")};
+  streaming::Player player{network, host, streaming::PlayerConfig{}};
+  SessionState state;
+};
+
+TEST_F(HostilePlayerBlocks, ReorderHeldCount) {
+  register_player_reorder_block(state, 1, "reorder", &player);
+  expect_truncated(apply_hostile(state, 4));
+}
+
+TEST_F(HostilePlayerBlocks, RepairReceivedAndNackCounts) {
+  register_player_repair_block(state, 1, "repair", &player);
+  expect_truncated(apply_hostile(state, 8));  // received indices
+  expect_truncated(apply_hostile(state, 4));  // NACK attempts
+}
+
+TEST_F(HostilePlayerBlocks, SlideCacheCount) {
+  register_player_slide_cache_block(state, 1, "slides", &player);
+  expect_truncated(apply_hostile(state, 4));
+}
+
+TEST(HostileCounts, InputLogRecordCount) {
+  InputLog log;
+  log.root_seed = 1;
+  auto bytes = serialize_input_log(log);
+  // Body ends with the record count; the checksum over the body follows.
+  put_u32(bytes, bytes.size() - 12, kHostileCount);
+  const std::uint64_t sum =
+      checksum64(std::span<const std::byte>(bytes.data(), bytes.size() - 8));
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::byte>(sum >> (8 * i));
+  }
+  EXPECT_THROW(parse_input_log(bytes), std::out_of_range);
+}
+
+TEST_F(SyncAgentTest, DeltaRequestWithHostileBlockCountIsDropped) {
+  make_agents();
+  authority->start();
+  // A raw LSYG delta request claiming 2^32 - 1 block sums in 4 bytes.
+  net::ByteWriter w;
+  w.u32(0x4759534cu);  // gossip magic
+  w.u8(1);             // version
+  w.u8(2);             // delta request
+  w.u64(1);            // epoch
+  w.u64(42);           // structure (matches)
+  w.u32(kHostileCount);
+  net::DatagramSocket raw(network, replica_host, 7300);
+  raw.send_to(authority_host, SyncConfig{}.port, std::move(w).take());
+  const std::uint64_t before = authority->stats().malformed;
+  run_for(msec(50));
+  EXPECT_EQ(authority->stats().malformed, before + 1);
+  EXPECT_EQ(authority->stats().resync_serves, 0u);
 }
 
 }  // namespace
