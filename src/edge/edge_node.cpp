@@ -1,7 +1,6 @@
 #include "lod/edge/edge_node.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 #include <utility>
 
@@ -95,11 +94,10 @@ OriginGateway::OriginGateway(net::Transport& net,
 // --- EdgeNode ----------------------------------------------------------------
 
 EdgeNode::EdgeNode(net::Transport& net, net::HostId host, EdgeConfig cfg)
-    : net_(net),
-      host_(host),
+    : SessionEngine(net, host, cfg.validated().control_port,
+                    cfg.validated().fast_start_multiplier, "edge",
+                    /*per_session_series=*/false),
       config_(cfg.validated()),
-      ctl_(net, host, config_.control_port),
-      data_(net, host, static_cast<net::Port>(config_.control_port + 1)),
       origin_rpc_(net, host, static_cast<net::Port>(config_.control_port + 2)),
       migrate_rpc_(net, host,
                    static_cast<net::Port>(
@@ -108,19 +106,11 @@ EdgeNode::EdgeNode(net::Transport& net, net::HostId host, EdgeConfig cfg)
       cache_(config_.cache_budget_bytes, &net.obs().metrics(),
              obs::Labels{{"host", std::to_string(host)}}) {
   auto& reg = net_.obs().metrics();
-  trace_ = &net_.obs().trace();
   const obs::Labels host_label{{"host", std::to_string(host_)}};
-  m_packets_sent_ = reg.counter("lod.edge.packets_sent", host_label);
-  m_bytes_sent_ = reg.counter("lod.edge.bytes_sent", host_label);
-  m_sessions_opened_ = reg.counter("lod.edge.sessions_opened", host_label);
-  m_active_sessions_ = reg.gauge("lod.edge.active_sessions", host_label);
   m_demand_fetches_ = reg.counter("lod.edge.demand_fetches", host_label);
   m_prefetch_fetches_ = reg.counter("lod.edge.prefetch_fetches", host_label);
   m_fetch_bytes_ = reg.counter("lod.edge.fetch_bytes", host_label);
-  m_repairs_ = reg.counter("lod.edge.repairs", host_label);
   m_miss_fill_us_ = reg.histogram("lod.edge.miss_fill_us", host_label);
-  ctl_.on_receive(
-      [this](const net::ReliableEndpoint::Message& m) { handle_control(m); });
   migrate_rpc_.route(
       "/edge/migrate",
       [this](std::string_view, std::span<const std::byte> body) {
@@ -129,56 +119,26 @@ EdgeNode::EdgeNode(net::Transport& net, net::HostId host, EdgeConfig cfg)
 }
 
 EdgeNode::~EdgeNode() {
-  // Session pacing timers capture `this` raw; killing the node (the failover
-  // scenario) must pull them out of the simulator. RPC completions are
-  // guarded by `alive_` instead, because the simulator owns those callbacks.
+  // RPC completions are owned by the transport and may outlive the node
+  // (the failover scenario), so they check `alive_`. The engine cancels its
+  // own pacing timers.
   *alive_ = false;
-  for (auto& [id, s] : sessions_) {
-    if (s.timer) net_.cancel(*s.timer);
-  }
+}
+
+EdgeNode::ContentMeta& EdgeNode::meta_for(const std::string& content) {
+  return contents_.try_emplace(content, this, content).first->second;
 }
 
 void EdgeNode::set_presentation_order(const std::string& content,
                                       std::vector<PacketRange> order) {
-  ContentMeta& meta = contents_[content];
+  ContentMeta& meta = meta_for(content);
   meta.order_override = std::move(order);
-  if (meta.ready) {
-    meta.prefetch.emplace(meta.packet_count, config_.packets_per_segment,
-                          *meta.order_override);
-  }
-}
-
-std::size_t EdgeNode::active_sessions() const {
-  std::size_t n = 0;
-  for (const auto& [id, s] : sessions_) {
-    if (!s.stopped) ++n;
-  }
-  return n;
-}
-
-EdgeNode::Session* EdgeNode::find_session(std::uint64_t id) {
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : &it->second;
-}
-
-void EdgeNode::reply_to(net::HostId h, net::Port p,
-                        std::vector<std::byte> payload) {
-  ctl_.send_to(h, p, std::move(payload));
-}
-
-void EdgeNode::end_session(Session& s) {
-  if (s.stopped) return;
-  s.stopped = true;
-  m_active_sessions_.add(-1);
-  if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kSessionStop, s.client,
-                 static_cast<std::int64_t>(s.id));
-  }
+  meta.prefetch.reset();  // the next tick plans with the new order
 }
 
 EdgeNode::ContentMeta& EdgeNode::ensure_meta(const std::string& content,
                                              const obs::TraceContext& ctx) {
-  ContentMeta& meta = contents_[content];
+  ContentMeta& meta = meta_for(content);
   if (meta.ready || meta.fetching) return meta;
   meta.fetching = true;
   meta.fill_ctx = ctx;
@@ -193,524 +153,172 @@ EdgeNode::ContentMeta& EdgeNode::ensure_meta(const std::string& content,
                    [this, alive, content](net::Result<net::RpcReply> r) {
                      if (!*alive) return;
                      const int status = r ? r->status : 0;
-                     if (status != 200) {
-                       fail_meta(content, status);
-                       return;
+                     if (status == 200) {
+                       on_meta(content, r->body);
+                     } else {
+                       meta_done(meta_for(content), status);
                      }
-                     on_meta(content, r->body);
                    });
   return meta;
 }
 
-void EdgeNode::fail_meta(const std::string& content, int status) {
-  ContentMeta& m = contents_[content];
-  m.fetching = false;
-  if (m.fill_span) {
-    trace_->end_span(m.fill_ctx, m.fill_span, "edge.meta_fill", host_, status);
-    m.fill_span = 0;
+void EdgeNode::meta_done(ContentMeta& meta, std::int64_t result) {
+  meta.fetching = false;
+  if (meta.fill_span) {
+    trace_->end_span(meta.fill_ctx, meta.fill_span, "edge.meta_fill", host_,
+                     result);
+    meta.fill_span = 0;
   }
-  for (auto [h, p] : m.waiting_describe) {
-    ByteWriter e;
-    e.u8(static_cast<std::uint8_t>(Ctl::kError));
-    e.str("no such content: " + content);
-    reply_to(h, p, std::move(e).take());
+  for (auto [h, p] : meta.waiting_describe) describe_reply(meta, h, p);
+  meta.waiting_describe.clear();
+}
+
+void EdgeNode::describe_reply(const ContentMeta& meta, net::HostId h,
+                              net::Port p) {
+  if (!meta.ready) {
+    send_error(h, p, "no such content: " + meta.name);
+    return;
   }
-  m.waiting_describe.clear();
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(Ctl::kDescribeOk));
+  w.blob(meta.header_bytes);
+  reply(h, p, std::move(w).take());
 }
 
 void EdgeNode::on_meta(const std::string& content,
                        std::span<const std::byte> body) {
-  ContentMeta parsed;
+  ContentMeta& meta = meta_for(content);
   try {
     ByteReader r(body);
-    parsed.header_bytes = r.blob();
-    parsed.header = media::asf::parse_header(parsed.header_bytes);
-    parsed.packet_count = r.u32();
+    meta.header_bytes = r.blob();
+    meta.props = media::asf::parse_header(meta.header_bytes).props;
+    const std::uint32_t packet_count = r.u32();
     const std::uint32_t index_count = r.u32();
-    parsed.index.reserve(r.bounded_count(index_count, 8 + 4));
+    meta.index.clear();
+    meta.index.reserve(r.bounded_count(index_count, 8 + 4));
     for (std::uint32_t i = 0; i < index_count; ++i) {
       media::asf::IndexEntry e;
       e.time = net::SimDuration{r.i64()};
       e.packet = r.u32();
-      parsed.index.push_back(e);
+      meta.index.push_back(e);
     }
-    parsed.send_times_us.reserve(r.bounded_count(parsed.packet_count, 8));
-    for (std::uint32_t i = 0; i < parsed.packet_count; ++i) {
-      parsed.send_times_us.push_back(r.i64());
+    meta.send_times_us.clear();
+    meta.send_times_us.reserve(r.bounded_count(packet_count, 8));
+    for (std::uint32_t i = 0; i < packet_count; ++i) {
+      meta.send_times_us.push_back(r.i64());
     }
   } catch (const std::exception&) {
-    fail_meta(content, 0);  // malformed reply: as if the origin refused
+    meta_done(meta, 0);  // malformed reply: as if the origin refused
     return;
   }
-  ContentMeta& meta = contents_[content];
-  meta.fetching = false;
-  meta.header_bytes = std::move(parsed.header_bytes);
-  meta.header = std::move(parsed.header);
-  meta.packet_count = parsed.packet_count;
-  meta.index = std::move(parsed.index);
-  meta.send_times_us = std::move(parsed.send_times_us);
   meta.ready = true;
-  if (meta.fill_span) {
-    trace_->end_span(meta.fill_ctx, meta.fill_span, "edge.meta_fill", host_,
-                     meta.packet_count);
-    meta.fill_span = 0;
-  }
-  if (meta.order_override) {
-    meta.prefetch.emplace(meta.packet_count, config_.packets_per_segment,
-                          *meta.order_override);
+  meta_done(meta, meta.packet_count());
+}
+
+streaming::PacketSource* EdgeNode::play_source(const std::string& name) {
+  // Players DESCRIBE first (which pulls the meta); a PLAY without it is a
+  // protocol misuse, not a transient.
+  auto it = contents_.find(name);
+  return it == contents_.end() || !it->second.ready ? nullptr : &it->second;
+}
+
+void EdgeNode::handle_verb(Ctl tag, ByteReader& r, const Message& m) {
+  if (tag != Ctl::kDescribe) return;  // live joins are origin business
+  const std::string name = r.str();
+  const obs::TraceContext ctx = streaming::proto::read_trace_context(r);
+  const std::uint64_t sp = trace_->begin_span(ctx, "edge.describe", host_);
+  trace_->end_span(ctx, sp, "edge.describe", host_);
+  ContentMeta& meta = ensure_meta(name, ctx);
+  if (meta.ready) {
+    describe_reply(meta, m.src, m.src_port);
   } else {
-    meta.prefetch.emplace(meta.packet_count, config_.packets_per_segment);
-  }
-  ByteWriter ok;
-  ok.u8(static_cast<std::uint8_t>(Ctl::kDescribeOk));
-  ok.blob(meta.header_bytes);
-  const auto ok_bytes = std::move(ok).take();
-  for (auto [h, p] : meta.waiting_describe) reply_to(h, p, ok_bytes);
-  meta.waiting_describe.clear();
-}
-
-std::uint32_t EdgeNode::packet_for(const ContentMeta& meta,
-                                   net::SimDuration t) const {
-  std::uint32_t best = 0;
-  for (const auto& e : meta.index) {
-    if (e.time.us <= t.us) {
-      best = e.packet;
-    } else {
-      break;
-    }
-  }
-  return std::min(best, meta.packet_count);
-}
-
-void EdgeNode::handle_control(const net::ReliableEndpoint::Message& m) {
-  ByteReader r(m.payload);
-  const Ctl tag = static_cast<Ctl>(r.u8());
-
-  auto send_error = [&](const std::string& msg) {
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(Ctl::kError));
-    w.str(msg);
-    reply_to(m.src, m.src_port, std::move(w).take());
-  };
-
-  switch (tag) {
-    case Ctl::kDescribe: {
-      const std::string name = r.str();
-      const obs::TraceContext ctx = streaming::proto::read_trace_context(r);
-      const std::uint64_t sp = trace_->begin_span(ctx, "edge.describe", host_);
-      trace_->end_span(ctx, sp, "edge.describe", host_);
-      ContentMeta& meta = ensure_meta(name, ctx);
-      if (meta.ready) {
-        ByteWriter w;
-        w.u8(static_cast<std::uint8_t>(Ctl::kDescribeOk));
-        w.blob(meta.header_bytes);
-        reply_to(m.src, m.src_port, std::move(w).take());
-      } else {
-        meta.waiting_describe.emplace_back(m.src, m.src_port);
-      }
-      return;
-    }
-
-    case Ctl::kPlay: {
-      const std::string name = r.str();
-      const net::SimDuration from{r.i64()};
-      const net::Port data_port = r.u16();
-      const net::ChannelId channel = r.u32();
-      const obs::TraceContext ctx = streaming::proto::read_trace_context(r);
-      auto it = contents_.find(name);
-      if (it == contents_.end() || !it->second.ready) {
-        // Players DESCRIBE first (which pulls the meta); a PLAY without it
-        // is a protocol misuse, not a transient.
-        send_error("content not ready: " + name);
-        return;
-      }
-      const ContentMeta& meta = it->second;
-      Session s;
-      s.id = next_session_++;
-      s.client = m.src;
-      s.client_ctl_port = m.src_port;
-      s.data_port = data_port;
-      s.channel = channel;
-      s.content = name;
-      s.ctx = ctx;
-      s.next_packet = packet_for(meta, from);
-      s.pace_epoch = net_.now();
-      s.pace_offset = s.next_packet < meta.packet_count
-                          ? net::SimDuration{meta.send_times_us[s.next_packet]}
-                          : net::SimDuration{0};
-      const std::uint64_t id = s.id;
-      sessions_.emplace(id, std::move(s));
-      m_sessions_opened_.inc();
-      m_active_sessions_.add(1);
-      const std::uint64_t sp = trace_->begin_span(
-          ctx, "edge.open", host_, static_cast<std::int64_t>(id));
-      trace_->end_span(ctx, sp, "edge.open", host_,
-                       static_cast<std::int64_t>(id));
-      if (trace_->enabled()) {
-        trace_->emit_in(ctx, obs::EventType::kSessionOpen, m.src,
-                        static_cast<std::int64_t>(id), from.us, name);
-      }
-      ByteWriter w;
-      w.u8(static_cast<std::uint8_t>(Ctl::kPlayOk));
-      w.u64(id);
-      reply_to(m.src, m.src_port, std::move(w).take());
-      prefetch_tick(name, sessions_.at(id).next_packet);
-      schedule_next(sessions_.at(id));
-      return;
-    }
-
-    case Ctl::kPause: {
-      if (Session* s = find_session(r.u64()); s && !s->stopped) {
-        s->paused = true;
-        if (trace_->enabled()) {
-          trace_->emit(obs::EventType::kSessionPause, s->client,
-                       static_cast<std::int64_t>(s->id));
-        }
-        if (s->timer) {
-          net_.cancel(*s->timer);
-          s->timer.reset();
-        }
-      }
-      return;
-    }
-
-    case Ctl::kResume: {
-      if (Session* s = find_session(r.u64()); s && !s->stopped && s->paused) {
-        s->paused = false;
-        if (trace_->enabled()) {
-          trace_->emit(obs::EventType::kSessionResume, s->client,
-                       static_cast<std::int64_t>(s->id));
-        }
-        const ContentMeta& meta = contents_.at(s->content);
-        s->pace_epoch = net_.now();
-        s->pace_offset =
-            s->next_packet < meta.packet_count
-                ? net::SimDuration{meta.send_times_us[s->next_packet]}
-                : net::SimDuration{0};
-        schedule_next(*s);
-      }
-      return;
-    }
-
-    case Ctl::kSeek: {
-      const std::uint64_t sid = r.u64();
-      const net::SimDuration to{r.i64()};
-      if (Session* s = find_session(sid); s && !s->stopped) {
-        if (trace_->enabled()) {
-          trace_->emit(obs::EventType::kSessionSeek, s->client,
-                       static_cast<std::int64_t>(s->id), to.us);
-        }
-        ++s->epoch;  // packets from before the jump are now stale
-        if (s->timer) {
-          net_.cancel(*s->timer);
-          s->timer.reset();
-        }
-        // Any in-flight miss fill belongs to the abandoned position; the
-        // completion handler checks this field, so clearing it here makes
-        // that fill a pure cache insert.
-        s->waiting_on.reset();
-        const ContentMeta& meta = contents_.at(s->content);
-        s->next_packet = packet_for(meta, to);
-        s->pace_epoch = net_.now();
-        s->pace_offset =
-            s->next_packet < meta.packet_count
-                ? net::SimDuration{meta.send_times_us[s->next_packet]}
-                : net::SimDuration{0};
-        prefetch_tick(s->content, s->next_packet);  // follow the jump
-        if (!s->paused) schedule_next(*s);
-      }
-      return;
-    }
-
-    case Ctl::kSetRate: {
-      const std::uint64_t sid = r.u64();
-      const std::uint32_t permille = r.u32();
-      const net::ChannelId channel = r.u32();
-      if (Session* s = find_session(sid); s && !s->stopped && permille > 0) {
-        if (trace_->enabled()) {
-          trace_->emit(obs::EventType::kSessionRate, s->client,
-                       static_cast<std::int64_t>(s->id), permille);
-        }
-        s->channel = channel;
-        if (s->timer) {
-          net_.cancel(*s->timer);
-          s->timer.reset();
-        }
-        s->rate = static_cast<double>(permille) / 1000.0;
-        const ContentMeta& meta = contents_.at(s->content);
-        s->pace_epoch = net_.now();
-        s->pace_offset =
-            s->next_packet < meta.packet_count
-                ? net::SimDuration{meta.send_times_us[s->next_packet]}
-                : net::SimDuration{0};
-        if (!s->paused && !s->waiting_on) schedule_next(*s);
-      }
-      return;
-    }
-
-    case Ctl::kRepair: {
-      const std::uint64_t sid = r.u64();
-      const std::uint32_t count = r.u32();
-      Session* s = find_session(sid);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t idx = r.u32();
-        if (!s || s->stopped) continue;
-        const ContentMeta& meta = contents_.at(s->content);
-        if (idx >= meta.packet_count) continue;
-        const std::uint32_t seg = idx / config_.packets_per_segment;
-        const SegmentKey key{s->content, seg};
-        if (const auto* pkts = cache_.get(key)) {
-          m_repairs_.inc();
-          if (trace_->enabled()) {
-            trace_->emit(obs::EventType::kRepairResend, s->client,
-                         static_cast<std::int64_t>(s->id), idx);
-          }
-          send_packet(*s, (*pkts)[idx - seg * config_.packets_per_segment],
-                      idx);
-        } else {
-          start_fetch(s->content, seg, /*demand=*/true);
-          inflight_[key].waiting_repairs.emplace_back(sid, idx);
-        }
-      }
-      return;
-    }
-
-    case Ctl::kStop: {
-      const std::uint64_t sid = r.u64();
-      if (Session* s = find_session(sid)) {
-        end_session(*s);
-        if (s->timer) {
-          net_.cancel(*s->timer);
-          s->timer.reset();
-        }
-      }
-      return;
-    }
-
-    case Ctl::kTimeSync: {
-      const std::int64_t client_local = r.i64();
-      ByteWriter w;
-      w.u8(static_cast<std::uint8_t>(Ctl::kTimeSyncReply));
-      w.i64(client_local);
-      w.i64(net_.local_now(host_).us);
-      reply_to(m.src, m.src_port, std::move(w).take());
-      return;
-    }
-
-    default:
-      return;  // live joins and client-only tags are origin business
+    meta.waiting_describe.emplace_back(m.src, m.src_port);
   }
 }
 
 std::pair<int, std::vector<std::byte>> EdgeNode::handle_migrate(
     std::span<const std::byte> body) {
-  std::string name;
-  net::HostId client = 0;
-  net::Port client_ctl_port = 0;
-  net::Port client_data_port = 0;
-  std::uint32_t resume_index = 0;
-  net::SimDuration position{0};
-  std::uint32_t epoch = 0;
-  double rate = 1.0;
-  bool paused = false;
-  obs::TraceContext ctx;
-  std::vector<std::byte> image;
+  Start a;
+  a.adopted = true;
   try {
     ByteReader r(body);
     if (r.u32() != streaming::proto::kMigrateMagic) return {400, {}};
     if (r.u16() != streaming::proto::kMigrateVersion) return {400, {}};
-    name = r.str();
-    client = static_cast<net::HostId>(r.u32());
-    client_ctl_port = r.u16();
-    client_data_port = r.u16();
-    resume_index = r.u32();
-    position = net::SimDuration{r.i64()};
-    epoch = r.u32();
-    rate = r.f64();
-    paused = r.u8() != 0;
-    ctx.trace_id = r.u64();
-    ctx.parent_span_id = r.u64();
-    image = r.blob();
+    a.content = r.str();
+    a.client = static_cast<net::HostId>(r.u32());
+    a.client_ctl_port = r.u16();
+    a.client_data_port = r.u16();
+    a.resume_index = r.u32();
+    a.position = net::SimDuration{r.i64()};
+    a.epoch = r.u32();
+    a.rate = r.f64();
+    a.paused = r.u8() != 0;
+    a.ctx.trace_id = r.u64();
+    a.ctx.parent_span_id = r.u64();
+    // The state image is the client's business (the sync layer); the edge
+    // only checks that it is there.
+    r.blob();
   } catch (const std::exception&) {
     return {400, {}};
   }
 
-  ContentMeta& meta = ensure_meta(name, ctx);
+  ContentMeta& meta = ensure_meta(a.content, a.ctx);
   if (!meta.ready) {
     // Adoption is synchronous — there is nowhere to park an RPC reply — so
     // a cold replica refuses, warms the meta in the background, and leaves
     // the player to its describe-path fallback (which knows how to park).
     return {503, {}};
   }
-
-  Session s;
-  s.id = next_session_++;
-  s.client = client;
-  s.client_ctl_port = client_ctl_port;
-  s.data_port = client_data_port;
-  s.content = name;
-  s.ctx = ctx;
-  // Resume exactly where the old replica's stream left off when the player
-  // knows the index; derive it from the render position when it does not
-  // (a session that never received a packet this epoch).
-  s.next_packet =
-      resume_index != std::numeric_limits<std::uint32_t>::max()
-          ? std::min(resume_index, meta.packet_count)
-          : packet_for(meta, position);
-  s.epoch = epoch;  // the player keeps its epoch; stragglers still filter
-  s.rate = rate > 0 ? rate : 1.0;
-  s.paused = paused;
-  // No QoS channel yet: the reservation is path-bound and the player can
-  // only re-reserve after adoption. A later kSetRate carries the new id.
-  s.pace_epoch = net_.now();
-  s.pace_offset = s.next_packet < meta.packet_count
-                      ? net::SimDuration{meta.send_times_us[s.next_packet]}
-                      : net::SimDuration{0};
-  const std::uint64_t id = s.id;
-  const std::uint32_t start = s.next_packet;
-  sessions_.emplace(id, std::move(s));
-  if (!image.empty()) adopted_images_[id] = std::move(image);
-  m_sessions_opened_.inc();
-  m_active_sessions_.add(1);
+  const Session& s = start(meta, a);
   if (!m_migrations_adopted_) {
     m_migrations_adopted_ = net_.obs().metrics().counter(
         "lod.edge.migrations_adopted", {{"host", std::to_string(host_)}});
   }
   m_migrations_adopted_.inc();
-  const std::uint64_t sp = trace_->begin_span(ctx, "edge.adopt", host_,
-                                              static_cast<std::int64_t>(id));
-  trace_->end_span(ctx, sp, "edge.adopt", host_,
-                   static_cast<std::int64_t>(id), start);
-  if (trace_->enabled()) {
-    trace_->emit_in(ctx, obs::EventType::kSessionOpen, client,
-                    static_cast<std::int64_t>(id), position.us, name);
-  }
-  prefetch_tick(name, start);
-  if (!paused) schedule_next(sessions_.at(id));
-
   ByteWriter w;
-  w.u64(id);
-  w.u32(start);
+  w.u64(s.id);
+  w.u32(s.next_packet);
   return {200, std::move(w).take()};
 }
 
-void EdgeNode::schedule_next(Session& s) {
-  if (s.stopped || s.paused || s.waiting_on) return;
-  if (s.timer) {
-    net_.cancel(*s.timer);
-    s.timer.reset();
-  }
-  const ContentMeta& meta = contents_.at(s.content);
-  if (s.next_packet >= meta.packet_count) {
-    if (trace_->enabled()) {
-      trace_->emit(obs::EventType::kSessionEos, s.client,
-                   static_cast<std::int64_t>(s.id));
-    }
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(Ctl::kEndOfStream));
-    w.u64(s.id);
-    w.u32(meta.packet_count);
-    reply_to(s.client, s.client_ctl_port, std::move(w).take());
-    return;
-  }
-  // Same pacing discipline as the origin server: send_time schedule with a
-  // fast-start burst capped at a multiple of the content bit-rate (and at
-  // the session's QoS reservation, if it rides one).
-  const net::SimDuration send_time{meta.send_times_us[s.next_packet]};
-  const net::SimDuration media_ahead =
-      send_time - s.pace_offset - meta.header.props.preroll;
-  net::SimTime due =
-      s.pace_epoch + net::SimDuration{static_cast<std::int64_t>(
-                         static_cast<double>(media_ahead.us) / s.rate)};
-  const std::int64_t bps =
-      std::max<std::int64_t>(meta.header.props.avg_bitrate_bps, 8'000);
-  double burst_bps = config_.fast_start_multiplier * static_cast<double>(bps);
-  if (s.channel != 0) {
-    if (const std::int64_t rate = net_.channel_rate_bps(s.channel)) {
-      burst_bps = std::min(burst_bps, static_cast<double>(rate) * 0.95);
-    }
-  }
-  const net::SimDuration min_gap{static_cast<std::int64_t>(
-      static_cast<double>(meta.header.props.packet_bytes) * 8e6 /
-      std::max(burst_bps, 8'000.0))};
-  if (s.last_send.us > 0 && due < s.last_send + min_gap) {
-    due = s.last_send + min_gap;
-  }
-  const net::SimTime now = net_.now();
-  if (due < now) due = now;
-  const std::uint64_t sid = s.id;
-  s.timer_due = due;
-  s.timer = net_.schedule_at(due, [this, sid] { deliver_due(sid); });
+const net::Payload* EdgeNode::ContentMeta::packet(std::uint32_t i) {
+  const std::uint32_t per = node->config_.packets_per_segment;
+  const auto* pkts = node->cache_.get(SegmentKey{name, i / per});
+  return pkts && i % per < pkts->size() ? &(*pkts)[i % per] : nullptr;
 }
 
-void EdgeNode::deliver_due(std::uint64_t sid) {
-  Session* s = find_session(sid);
-  if (!s || s->stopped || s->paused || s->waiting_on) return;
-  s->timer.reset();
-  const std::uint32_t idx = s->next_packet;
-  const std::uint32_t seg = idx / config_.packets_per_segment;
-  const SegmentKey key{s->content, seg};
-  if (const auto* pkts = cache_.get(key)) {
-    // The scheduled send time, not now(): a late timer must not delay the
-    // rest of the burst. A session resumed by a segment fill was re-armed
-    // no earlier than the fill, so its limiter still counts from then.
-    s->last_send = s->timer_due;
-    send_packet(*s, (*pkts)[idx - seg * config_.packets_per_segment], idx);
-    ++s->next_packet;
-    if (s->next_packet % config_.packets_per_segment == 0) {
-      // Crossed a segment boundary: advance the warm window.
-      prefetch_tick(s->content, s->next_packet);
-    }
-    schedule_next(*s);
-  } else {
-    // Cold miss: park the session on the fill; it resumes (and catches up
-    // under the burst cap) when the segment lands.
-    s->waiting_on = key;
-    start_fetch(s->content, seg, /*demand=*/true, s->ctx);
-    auto& f = inflight_[key];
-    f.demand = true;
-    f.waiting_sessions.push_back(sid);
+std::uint32_t EdgeNode::ContentMeta::park(std::uint64_t session,
+                                          std::uint32_t i,
+                                          const obs::TraceContext& ctx) {
+  const std::uint32_t seg = i / node->config_.packets_per_segment;
+  node->start_fetch(name, seg, /*demand=*/true, ctx)
+      .waiting_sessions.push_back(session);
+  return seg;
+}
+
+void EdgeNode::ContentMeta::park_repair(std::uint64_t session,
+                                        std::uint32_t i) {
+  node->start_fetch(name, i / node->config_.packets_per_segment,
+                    /*demand=*/true)
+      .waiting_repairs.emplace_back(session, i);
+}
+
+void EdgeNode::ContentMeta::playhead_moved(std::uint32_t i, bool jump) {
+  // Follow every jump; otherwise advance the warm window at each segment
+  // boundary.
+  if (jump || i % node->config_.packets_per_segment == 0) {
+    node->prefetch_tick(*this, i);
   }
 }
 
-void EdgeNode::send_packet(Session& s, const net::Payload& bytes,
-                           std::uint32_t packet_index) {
-  const ContentMeta& meta = contents_.at(s.content);
-  // Per-send frame header only; the cached serialized packet rides as a
-  // shared body — the edge relays media it never copied or parsed.
-  ByteWriter w;
-  w.u32(streaming::proto::kDataMagic);
-  w.u64(s.id);
-  w.u32(s.epoch);
-  w.u64(s.next_seq++);
-  w.u32(packet_index);
-
-  net::Datagram p;
-  p.src = host_;
-  p.dst = s.client;
-  p.src_port = data_.port();
-  p.dst_port = s.data_port;
-  p.payload = std::move(w).take();
-  p.body = bytes;
-  const std::uint32_t nominal = meta.header.props.packet_bytes + 20u;
-  p.wire_size =
-      std::max<std::uint32_t>(
-          static_cast<std::uint32_t>(p.payload.size() + p.body.size()),
-          nominal) +
-      28;
-  p.channel = s.channel;
-  m_packets_sent_.inc();
-  m_bytes_sent_.inc(p.wire_size);
-  net_.send(std::move(p));
-}
-
-void EdgeNode::start_fetch(const std::string& content, std::uint32_t segment,
-                           bool demand, const obs::TraceContext& ctx) {
-  const SegmentKey key{content, segment};
-  auto [it, inserted] = inflight_.try_emplace(key);
-  it->second.demand |= demand;
-  if (!inserted) return;  // already on the wire; callers just park on it
-  fetch_started_[key] = net_.now();
+EdgeNode::Fetch& EdgeNode::start_fetch(const std::string& content,
+                                       std::uint32_t segment, bool demand,
+                                       const obs::TraceContext& ctx) {
+  auto [it, inserted] = inflight_.try_emplace(SegmentKey{content, segment});
+  Fetch& f = it->second;
+  f.demand |= demand;
+  if (!inserted) return f;  // already on the wire; callers just park on it
+  f.started = net_.now();
   (demand ? m_demand_fetches_ : m_prefetch_fetches_).inc();
   if (demand) {
     // A demand fetch IS a cache miss on the session's critical path.
@@ -719,8 +327,8 @@ void EdgeNode::start_fetch(const std::string& content, std::uint32_t segment,
   }
   const char* span_name = demand ? "edge.miss_fill" : "edge.prefetch";
   if (ctx.valid()) {
-    it->second.ctx = ctx;
-    it->second.span = trace_->begin_span(ctx, span_name, host_, segment);
+    f.ctx = ctx;
+    f.span = trace_->begin_span(ctx, span_name, host_, segment);
   } else if (trace_->enabled()) {
     // Context-free fill (prefetch, or an untraced session): keep the legacy
     // unlinked span events so the fetch still shows up in the stream.
@@ -731,7 +339,7 @@ void EdgeNode::start_fetch(const std::string& content, std::uint32_t segment,
   w.u32(segment);
   w.u32(config_.packets_per_segment);
   streaming::proto::write_trace_context(
-      w, it->second.span ? ctx.child(it->second.span) : obs::TraceContext{});
+      w, f.span ? ctx.child(f.span) : obs::TraceContext{});
   auto alive = alive_;
   origin_rpc_.call(config_.origin, config_.origin_gateway_port, "/edge/segment",
                    std::move(w).take(),
@@ -743,16 +351,14 @@ void EdgeNode::start_fetch(const std::string& content, std::uint32_t segment,
                        on_segment(content, segment, 0, net::Payload{});
                      }
                    });
+  return f;
 }
 
 void EdgeNode::on_segment(const std::string& content, std::uint32_t segment,
                           int status, const net::Payload& body) {
   const SegmentKey key{content, segment};
-  Fetch fetch;
-  if (auto it = inflight_.find(key); it != inflight_.end()) {
-    fetch = std::move(it->second);
-    inflight_.erase(it);
-  }
+  auto done = inflight_.extract(key);
+  Fetch fetch = done ? std::move(done.mapped()) : Fetch{};
   // Cache zero-copy slices of the fetch response: each cached packet is a
   // refcounted view of the one buffer the RPC already delivered. The edge
   // never parses media it only relays.
@@ -771,11 +377,6 @@ void EdgeNode::on_segment(const std::string& content, std::uint32_t segment,
       status = 0;  // malformed reply: a failed fill
     }
   }
-  net::SimDuration elapsed{0};
-  if (auto it = fetch_started_.find(key); it != fetch_started_.end()) {
-    elapsed = net_.now() - it->second;
-    fetch_started_.erase(it);
-  }
   if (fetch.span != 0) {
     trace_->end_span(fetch.ctx, fetch.span,
                      fetch.demand ? "edge.miss_fill" : "edge.prefetch", host_,
@@ -787,45 +388,34 @@ void EdgeNode::on_segment(const std::string& content, std::uint32_t segment,
   if (status != 200) return;  // parked sessions stall; the player fails over
 
   m_fetch_bytes_.inc(body.size());
-  if (fetch.demand) m_miss_fill_us_.observe(elapsed.us);
+  if (fetch.demand) m_miss_fill_us_.observe((net_.now() - fetch.started).us);
   cache_.put(key, std::move(packets), body.size());
 
-  for (std::uint64_t sid : fetch.waiting_sessions) {
-    Session* s = find_session(sid);
-    if (!s || s->stopped || s->waiting_on != key) continue;
-    s->waiting_on.reset();
-    if (!s->paused) schedule_next(*s);
-  }
+  for (std::uint64_t sid : fetch.waiting_sessions) unpark(sid, segment);
   if (!fetch.waiting_repairs.empty()) {
-    const auto* pkts = cache_.get(key);
-    for (auto [sid, idx] : fetch.waiting_repairs) {
-      Session* s = find_session(sid);
-      if (!s || s->stopped || !pkts) continue;
-      const std::uint32_t off = idx - segment * config_.packets_per_segment;
-      if (off >= pkts->size()) continue;
-      m_repairs_.inc();
-      if (trace_->enabled()) {
-        trace_->emit(obs::EventType::kRepairResend, s->client,
-                     static_cast<std::int64_t>(s->id), idx);
+    if (const auto* pkts = cache_.get(key)) {
+      for (auto [sid, idx] : fetch.waiting_repairs) {
+        const std::uint32_t off = idx - segment * config_.packets_per_segment;
+        if (off < pkts->size()) resend(sid, idx, (*pkts)[off]);
       }
-      send_packet(*s, (*pkts)[off], idx);
     }
   }
 }
 
-void EdgeNode::prefetch_tick(const std::string& content,
-                             std::uint32_t playhead) {
+void EdgeNode::prefetch_tick(ContentMeta& meta, std::uint32_t playhead) {
   if (config_.prefetch_depth == 0) return;
-  auto it = contents_.find(content);
-  if (it == contents_.end() || !it->second.ready || !it->second.prefetch) {
-    return;
+  if (!meta.prefetch) {
+    const std::uint32_t n = meta.packet_count();
+    meta.prefetch.emplace(
+        n, config_.packets_per_segment,
+        meta.order_override.value_or(std::vector<PacketRange>{{0, n}}));
   }
-  PrefetchController& pc = *it->second.prefetch;
+  PrefetchController& pc = *meta.prefetch;
   pc.anchor_to(playhead);
   for (std::uint32_t seg : pc.warm_set(config_.prefetch_depth)) {
-    const SegmentKey key{content, seg};
+    const SegmentKey key{meta.name, seg};
     if (cache_.contains(key) || inflight_.count(key) > 0) continue;
-    start_fetch(content, seg, /*demand=*/false);
+    start_fetch(meta.name, seg, /*demand=*/false);
   }
 }
 

@@ -228,10 +228,10 @@ void build_index(File& f, SimDuration interval) {
   }
 }
 
-std::uint32_t seek_packet(const File& f, SimDuration t) {
-  if (f.index.empty()) return 0;
-  std::uint32_t pkt = f.index.front().packet;
-  for (const auto& e : f.index) {
+std::uint32_t seek_packet(std::span<const IndexEntry> index, SimDuration t) {
+  if (index.empty()) return 0;
+  std::uint32_t pkt = index.front().packet;
+  for (const auto& e : index) {
     if (e.time <= t) pkt = e.packet;
     else break;
   }

@@ -304,7 +304,10 @@ void build_index(File& f, SimDuration interval = net::sec(5));
 
 /// Find the packet to start from so that playback covers time \p t:
 /// the latest index entry at or before t. Returns 0 if the index is empty.
-std::uint32_t seek_packet(const File& f, SimDuration t);
+std::uint32_t seek_packet(std::span<const IndexEntry> index, SimDuration t);
+inline std::uint32_t seek_packet(const File& f, SimDuration t) {
+  return seek_packet(f.index, t);
+}
 
 /// Generate deterministic pattern bytes for synthetic payload content.
 std::vector<std::byte> pattern_bytes(std::size_t n, std::uint32_t tag);

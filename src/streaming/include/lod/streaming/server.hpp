@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -11,6 +11,7 @@
 #include "lod/media/asf.hpp"
 #include "lod/net/transport.hpp"
 #include "lod/streaming/protocol.hpp"
+#include "lod/streaming/session_engine.hpp"
 
 /// \file server.hpp
 /// The Windows-Media-Services stand-in: a streaming server that serves
@@ -29,7 +30,7 @@ namespace lod::streaming {
 ///
 /// Compatibility view: the numbers now live in the metrics registry
 /// (`lod.server.session.*{host,session}`); this struct is materialized on
-/// demand by `StreamingServer::session_stats` / `ServerMetrics::session`.
+/// demand by `ServerMetrics::session`.
 struct SessionStats {
   std::uint64_t packets_sent{0};
   std::uint64_t bytes_sent{0};
@@ -110,8 +111,9 @@ class ServerMetrics {
   const StreamingServer* server_;
 };
 
-/// The streaming server on one host.
-class StreamingServer {
+/// The streaming server on one host: the session engine over its published
+/// files, plus live channels.
+class StreamingServer : private SessionEngine {
  public:
   /// Binds `cfg.control_port` on \p host. \p cfg is validated on entry.
   StreamingServer(net::Transport& net, net::HostId host, ServerConfig cfg = {});
@@ -127,7 +129,7 @@ class StreamingServer {
   /// republished.
   const media::asf::File* stored(const std::string& name) const {
     auto it = files_.find(name);
-    return it == files_.end() ? nullptr : &it->second;
+    return it == files_.end() ? nullptr : &it->second.file;
   }
 
   /// Open a live channel under \p name; returns a sink to feed encoder
@@ -154,50 +156,19 @@ class StreamingServer {
   /// Registry-backed measurement view (`lod.server.*`).
   ServerMetrics metrics() const { return ServerMetrics(this); }
 
-  std::size_t active_sessions() const;
-
-  net::HostId host() const { return host_; }
+  using SessionEngine::active_sessions;
+  using SessionEngine::host;
 
  private:
   friend class ServerMetrics;
 
-  /// Materializes `lod.server.session.*` series into a `SessionStats`;
-  /// surfaced publicly through `ServerMetrics::session`.
-  std::optional<SessionStats> session_stats(std::uint64_t session) const;
+  /// A published file as a packet source. Each packet is serialized once
+  /// and shared by every session (and every repair resend) of the file.
+  struct Stored final : PacketSource {
+    media::asf::File file;
+    std::vector<net::Payload> serialized;  ///< lazily filled
 
-  /// Registry handles for one session's `lod.server.session.*` series.
-  struct SessionCounters {
-    obs::Counter packets_sent;
-    obs::Counter bytes_sent;
-    obs::Counter seeks;
-    obs::Counter pauses;
-    obs::Counter repairs;
-  };
-
-  struct Session {
-    std::uint64_t id{};
-    net::HostId client{};
-    net::Port client_ctl_port{};
-    net::Port data_port{};
-    net::ChannelId channel{0};
-    const media::asf::File* file{nullptr};  // null => live session
-    std::string live_name;                  // for live sessions
-    std::size_t next_packet{0};
-    std::uint64_t next_seq{0};
-    bool paused{false};
-    bool stopped{false};
-    double rate{1.0};  ///< playback speed (pacing divisor)
-    std::uint32_t epoch{0};  ///< stream discontinuity counter (seeks)
-    /// send_time of packet[next_packet] maps to this wall instant.
-    net::SimTime pace_epoch{};
-    net::SimTime last_send{};  ///< burst-rate limiter state
-    /// The instant the pacing timer was armed for. It becomes `last_send`
-    /// when the timer fires, so a late timer does not push back the rest
-    /// of the burst.
-    net::SimTime timer_due{};
-    net::SimDuration pace_offset{};  ///< media send-time at pace_epoch
-    std::optional<net::EventId> timer;
-    SessionCounters stats;
+    const net::Payload* packet(std::uint32_t i) override;
   };
   struct LiveChannel {
     media::asf::Header header;
@@ -205,42 +176,16 @@ class StreamingServer {
     bool open{true};
   };
 
-  void handle_control(const net::ReliableEndpoint::Message& m);
-  void reply(const Session& s, std::vector<std::byte> payload);
-  void reply_to(net::HostId h, net::Port p, std::vector<std::byte> payload);
-  void schedule_next(Session& s);
-  /// Send one already-serialized data packet: a small per-send frame header
-  /// plus \p bytes as a shared body attachment — no per-session byte copy.
-  void send_packet(Session& s, const net::Payload& bytes,
-                   std::uint32_t packet_index);
-  /// Serialized form of file packet \p idx, encoded once and shared by every
-  /// session (and every repair resend) of that file.
-  const net::Payload& cached_packet(const media::asf::File* f,
-                                    std::size_t idx);
-  Session* find_session(std::uint64_t id);
-  SessionCounters make_session_counters(std::uint64_t id);
-  void end_session(Session& s);
+  PacketSource* play_source(const std::string& name) override;
+  /// Describe and the live verbs.
+  void handle_verb(proto::Ctl tag, net::ByteReader& r,
+                   const Message& m) override;
 
-  net::Transport& net_;
-  net::HostId host_;
   ServerConfig config_;
-  net::ReliableEndpoint ctl_;
-  net::DatagramSocket data_;
-  obs::TraceSink* trace_{nullptr};
-  obs::Counter packets_sent_;
-  obs::Counter bytes_sent_;
-  obs::Counter repairs_;
-  obs::Counter sessions_opened_;
-  obs::Gauge active_sessions_gauge_;
-  std::unordered_map<std::string, media::asf::File> files_;
-  /// Lazily-filled serialized packets, keyed by stored file. unordered_map
-  /// nodes are address-stable, so the File* key survives republishing the
-  /// same name (publish() drops the stale cache entry first).
-  std::unordered_map<const media::asf::File*, std::vector<net::Payload>>
-      packet_cache_;
+  /// unordered_map nodes are address-stable, so sessions keep their source
+  /// across a republish of the same name.
+  std::unordered_map<std::string, Stored> files_;
   std::unordered_map<std::string, LiveChannel> live_;
-  std::unordered_map<std::uint64_t, Session> sessions_;
-  std::uint64_t next_session_{1};
 };
 
 }  // namespace lod::streaming

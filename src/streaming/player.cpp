@@ -623,7 +623,6 @@ void Player::handle_data(const net::Datagram& p) {
   ByteReader r(p.payload);
   std::uint64_t seq = 0;
   std::uint32_t index = 0;
-  net::Payload bytes;
   try {
     if (r.u32() != proto::kDataMagic) return;
     const std::uint64_t sess = r.u64();
@@ -632,18 +631,12 @@ void Player::handle_data(const net::Datagram& p) {
     if (epoch != stream_epoch_) return;  // straggler from before a seek
     seq = r.u64();
     index = r.u32();
-    // The packet bytes ride as a shared body attachment (or, from legacy
-    // senders, as an inline blob the payload is sliced at). Either way a
-    // zero-copy view; parsing waits until ingest.
-    if (r.done()) {
-      bytes = p.body;
-    } else {
-      const std::uint32_t n = r.u32();
-      bytes = p.payload.slice(r.offset(), n);
-    }
   } catch (const std::exception&) {
     return;  // malformed datagram: drop
   }
+  // The packet bytes ride as the shared body attachment, a zero-copy view;
+  // parsing waits until ingest.
+  net::Payload bytes = p.body;
   ++packets_received_;
   m_packets_received_.inc();
   if (static_cast<std::int64_t>(index) > max_index_seen_) {
