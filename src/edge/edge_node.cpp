@@ -95,8 +95,7 @@ OriginGateway::OriginGateway(net::Transport& net,
 
 EdgeNode::EdgeNode(net::Transport& net, net::HostId host, EdgeConfig cfg)
     : SessionEngine(net, host, cfg.validated().control_port,
-                    cfg.validated().fast_start_multiplier, "edge",
-                    /*per_session_series=*/false),
+                    cfg.validated().fast_start_multiplier, "edge"),
       config_(cfg.validated()),
       origin_rpc_(net, host, static_cast<net::Port>(config_.control_port + 2)),
       migrate_rpc_(net, host,

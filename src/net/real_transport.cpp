@@ -676,9 +676,9 @@ std::string RealTransport::http_respond(std::string_view method,
         "application/json");
   }
   if (path == "/debug/sessions") {
-    return http_response_string(200, "OK",
-                                obs::debug_sessions_json(hub_.snapshot()),
-                                "application/json");
+    return http_response_string(
+        200, "OK", obs::debug_sessions_json(hub_.snapshot(), hub_.sessions()),
+        "application/json");
   }
   if (path == "/debug/sync") {
     return http_response_string(200, "OK",

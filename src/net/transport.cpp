@@ -171,16 +171,10 @@ void ReliableEndpoint::handle_packet(const Datagram& p) {
   if (tag != kData) return;  // unknown frame; drop
   const std::uint64_t incarnation = r.u64();
   const std::uint64_t seq = r.u64();
-  // Message bytes: the body attachment (scatter-gather frames), else a
-  // length-prefixed blob inline after the header (legacy framing). Either
-  // way, a zero-copy view — never a byte copy.
-  Payload msg;
-  if (r.done()) {
-    msg = p.body;
-  } else {
-    const std::uint32_t n = r.u32();
-    msg = p.payload.slice(r.offset(), n);
-  }
+  // The message is the body attachment, a zero-copy view. Bytes after the
+  // header belong to no framing this endpoint speaks: drop the frame.
+  if (!r.done()) return;
+  Payload msg = p.body;
 
   RxState& rx = rx_[peer];
   if (rx.peer_incarnation != incarnation) {

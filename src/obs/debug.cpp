@@ -1,9 +1,10 @@
 #include "lod/obs/debug.hpp"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
-#include <map>
 #include <set>
+#include <tuple>
 
 #include "lod/obs/export.hpp"
 #include "lod/obs/json.hpp"
@@ -66,6 +67,26 @@ void append_entry_value(std::string& out, const Snapshot::Entry& e) {
   out += "null";
 }
 
+/// `[{"name":..,"labels":{..},"value":..},..]`: the series \p keep selects.
+template <class Keep>
+void append_series_list(std::string& out, const Snapshot& snap, Keep keep) {
+  out += '[';
+  bool first = true;
+  for (const auto& [key, e] : snap.entries()) {
+    if (!keep(e)) continue;
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "{\"name\":\"";
+    append_json_escaped(out, e.name);
+    out += "\",\"labels\":";
+    append_labels(out, e.labels);
+    out += ",\"value\":";
+    append_entry_value(out, e);
+    out += '}';
+  }
+  out += ']';
+}
+
 }  // namespace
 
 std::string debug_vars_json(const Snapshot& snap, const RollupStore* rollup,
@@ -119,70 +140,44 @@ std::string debug_vars_json(const Snapshot& snap, const RollupStore* rollup,
   return out;
 }
 
-std::string debug_sessions_json(const Snapshot& snap) {
-  constexpr std::string_view kPrefix = "lod.server.session.";
-  // Group session series by label set; keep the per-host roll-ups flat.
-  std::map<std::string, std::vector<const Snapshot::Entry*>> groups;
-  std::vector<const Snapshot::Entry*> hosts;
-  for (const auto& [key, e] : snap.entries()) {
-    if (e.name.rfind(kPrefix, 0) == 0) {
-      std::string lkey;
-      append_labels(lkey, e.labels);
-      groups[lkey].push_back(&e);
-    } else if (e.name == "lod.server.active_sessions" ||
-               e.name == "lod.server.sessions_opened") {
-      hosts.push_back(&e);
-    }
-  }
-
-  std::string out = "{\"hosts\":[";
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    if (i) out += ',';
-    out += "\n{\"name\":\"";
-    append_json_escaped(out, hosts[i]->name);
-    out += "\",\"labels\":";
-    append_labels(out, hosts[i]->labels);
-    out += ",\"value\":";
-    append_entry_value(out, *hosts[i]);
-    out += '}';
-  }
-  out += "],\"sessions\":[";
-  bool first = true;
-  for (const auto& [lkey, entries] : groups) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "{\"labels\":";
-    out += lkey;
-    out += ",\"metrics\":{";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (i) out += ',';
-      out += '"';
-      append_json_escaped(out, entries[i]->name.substr(kPrefix.size()));
-      out += "\":";
-      append_entry_value(out, *entries[i]);
-    }
-    out += "}}";
+std::string debug_sessions_json(const Snapshot& snap,
+                                std::vector<SessionRow> rows) {
+  std::string out = "{\"hosts\":";
+  append_series_list(out, snap, [](const Snapshot::Entry& e) {
+    return e.name.ends_with(".active_sessions") ||
+           e.name.ends_with(".sessions_opened");
+  });
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.role, a.host, a.id) < std::tie(b.role, b.host, b.id);
+  });
+  out += ",\"sessions\":[";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const SessionRow& s = rows[i];
+    out += i ? ",\n{\"role\":\"" : "\n{\"role\":\"";
+    append_json_escaped(out, s.role);
+    char buf[384];
+    std::snprintf(buf, sizeof buf,
+                  "\",\"host\":%" PRIu64 ",\"id\":%" PRIu64
+                  ",\"client\":%" PRIu64 ",\"paused\":%s,\"parked\":%s"
+                  ",\"packets_sent\":%" PRIu64 ",\"bytes_sent\":%" PRIu64
+                  ",\"seeks\":%" PRIu64 ",\"pauses\":%" PRIu64
+                  ",\"repairs\":%" PRIu64 "}",
+                  s.host, s.id, s.client, s.paused ? "true" : "false",
+                  s.parked ? "true" : "false", s.stats.packets_sent,
+                  s.stats.bytes_sent, s.stats.seeks, s.stats.pauses,
+                  s.stats.repairs);
+    out += buf;
   }
   out += "]}\n";
   return out;
 }
 
 std::string debug_sync_json(const Snapshot& snap) {
-  std::string out = "{\"series\":[";
-  bool first = true;
-  for (const auto& [key, e] : snap.entries()) {
-    if (e.name.rfind("lod.sync.", 0) != 0) continue;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "{\"name\":\"";
-    append_json_escaped(out, e.name);
-    out += "\",\"labels\":";
-    append_labels(out, e.labels);
-    out += ",\"value\":";
-    append_entry_value(out, e);
-    out += '}';
-  }
-  out += "]}\n";
+  std::string out = "{\"series\":";
+  append_series_list(out, snap, [](const Snapshot::Entry& e) {
+    return e.name.rfind("lod.sync.", 0) == 0;
+  });
+  out += "}\n";
   return out;
 }
 

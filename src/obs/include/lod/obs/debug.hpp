@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "lod/obs/flight.hpp"
+#include "lod/obs/hub.hpp"
 #include "lod/obs/metrics.hpp"
 #include "lod/obs/rollup.hpp"
 #include "lod/obs/spantree.hpp"
@@ -18,7 +19,7 @@
 /// are unit-testable without sockets. Catalog (see docs/OBSERVABILITY.md):
 ///
 ///   /debug/vars      debug_vars_json      snapshot + rollup-window rates
-///   /debug/sessions  debug_sessions_json  per-session series, grouped
+///   /debug/sessions  debug_sessions_json  open sessions of every engine
 ///   /debug/sync      debug_sync_json      the lod.sync.* slice
 ///   /debug/trace     debug_trace_json     trace index or one SpanTree
 ///   /debug/flight    debug_flight_jsonl   live flight-recorder journal
@@ -32,10 +33,12 @@ namespace lod::obs {
 std::string debug_vars_json(const Snapshot& snap, const RollupStore* rollup,
                             TimeUs now);
 
-/// Per-session view: every `lod.server.session.*` series grouped by label
-/// set, plus the per-host `active_sessions` gauges and `sessions_opened`
-/// counters.
-std::string debug_sessions_json(const Snapshot& snap);
+/// The session engines' per-host `active_sessions` gauges and
+/// `sessions_opened` counters (`lod.server.*` at the origin, `lod.edge.*` at
+/// an edge), plus one row per open session (`Hub::sessions()`), ordered by
+/// role, host and id.
+std::string debug_sessions_json(const Snapshot& snap,
+                                std::vector<SessionRow> rows);
 
 /// The `lod.sync.*` slice of the snapshot (epochs, gossip, verdicts,
 /// resync traffic) as one JSON object per series name group.

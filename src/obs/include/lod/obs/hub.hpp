@@ -1,7 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "lod/obs/flight.hpp"
 #include "lod/obs/metrics.hpp"
@@ -13,6 +17,27 @@
 /// attach time), so one simulation == one registry == one trace timeline.
 
 namespace lod::obs {
+
+/// One session's counters, kept in its engine's session table while the
+/// session is open.
+struct SessionStats {
+  std::uint64_t packets_sent{0};
+  std::uint64_t bytes_sent{0};
+  std::uint64_t seeks{0};
+  std::uint64_t pauses{0};
+  std::uint64_t repairs{0};  ///< packets resent on client NACKs
+};
+
+/// One open session as `/debug/sessions` lists it.
+struct SessionRow {
+  std::string role;  ///< "server" (origin) or "edge"
+  std::uint64_t host{0};
+  std::uint64_t id{0};
+  std::uint64_t client{0};
+  bool paused{false};
+  bool parked{false};  ///< waiting on a segment fill
+  SessionStats stats;
+};
 
 class Hub {
  public:
@@ -44,11 +69,26 @@ class Hub {
 
   Snapshot snapshot() const { return metrics_.snapshot(); }
 
+  /// Appends one row per open session of a session table.
+  using SessionLister = std::function<void(std::vector<SessionRow>&)>;
+  /// `sessions()` lists \p owner's table until `remove_sessions(owner)`.
+  void add_sessions(const void* owner, SessionLister list) {
+    listers_[owner] = std::move(list);
+  }
+  void remove_sessions(const void* owner) { listers_.erase(owner); }
+  /// The open sessions of every registered table, in no particular order.
+  std::vector<SessionRow> sessions() const {
+    std::vector<SessionRow> rows;
+    for (const auto& [owner, list] : listers_) list(rows);
+    return rows;
+  }
+
  private:
   MetricsRegistry metrics_;
   TraceSink trace_;
   FlightRecorder flight_;
   std::function<TimeUs()> clock_;
+  std::map<const void*, SessionLister> listers_;
 };
 
 }  // namespace lod::obs

@@ -27,8 +27,8 @@
 ///    microseconds, so `lod_obs` sits below `lod_net` in the link order.
 ///
 /// Naming scheme (see docs/OBSERVABILITY.md): `lod.<layer>.<name>`, labels
-/// for identity dimensions (host, session, stream), e.g.
-/// `lod.server.session.packets_sent{host=0,session=3}`.
+/// for bounded identity dimensions (host, site, rule), e.g.
+/// `lod.server.packets_sent{host=0}`.
 
 namespace lod::obs {
 
@@ -214,22 +214,7 @@ class MetricsRegistry {
   static const std::vector<std::int64_t>& latency_buckets_us();
 
   /// Number of registered series (the label-cardinality guard in tests).
-  /// Retired series do not count.
   std::size_t series_count() const { return series_.size(); }
-
-  /// Retire every series whose name starts with \p name_prefix and whose
-  /// labels contain all of \p labels (subset match, order-insensitive).
-  /// Called on session close so per-session series stop growing the
-  /// registry. Retired cells keep their addresses — handles taken earlier
-  /// stay valid (writes land in the graveyard) — but the series leaves
-  /// snapshot(), series_count(), and future resolve() lookups; re-requesting
-  /// the same identity creates a fresh cell. Aggregate (unlabeled or
-  /// differently-labeled) series are untouched. Returns how many series
-  /// were retired.
-  std::size_t retire(std::string_view name_prefix, const Labels& labels = {});
-
-  /// Series retired so far (bookkeeping / leak checks in tests).
-  std::size_t retired_count() const { return retired_.size(); }
 
   Snapshot snapshot() const;
 
@@ -254,8 +239,6 @@ class MetricsRegistry {
       series_;
   /// Reused key-building buffer: cold lookups stop allocating after warm-up.
   std::string key_buf_;
-  /// Graveyard: cells stay allocated so outstanding handles never dangle.
-  std::vector<std::unique_ptr<detail::Series>> retired_;
 };
 
 }  // namespace lod::obs

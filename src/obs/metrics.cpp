@@ -121,35 +121,6 @@ Histogram MetricsRegistry::histogram(std::string_view name,
   return Histogram(s);
 }
 
-std::size_t MetricsRegistry::retire(std::string_view name_prefix,
-                                    const Labels& labels) {
-  std::size_t n = 0;
-  for (auto it = series_.begin(); it != series_.end();) {
-    detail::Series& s = *it->second;
-    const bool name_match =
-        s.name.size() >= name_prefix.size() &&
-        std::string_view(s.name).substr(0, name_prefix.size()) == name_prefix;
-    bool labels_match = name_match;
-    if (labels_match) {
-      for (const Label& want : labels) {
-        if (std::find(s.labels.begin(), s.labels.end(), want) ==
-            s.labels.end()) {
-          labels_match = false;
-          break;
-        }
-      }
-    }
-    if (labels_match) {
-      retired_.push_back(std::move(it->second));
-      it = series_.erase(it);
-      ++n;
-    } else {
-      ++it;
-    }
-  }
-  return n;
-}
-
 Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
   for (const auto& [key, s] : series_) {
@@ -283,9 +254,9 @@ Snapshot Snapshot::since(const Snapshot& earlier) const {
     if (it != earlier.entries_.end()) {
       const Entry& prev = it->second;
       if (d.kind == MetricKind::kCounter) {
-        // A total below the baseline means the series was retired and
-        // re-registered between snapshots: treat it as a counter reset and
-        // keep the current total whole (increments since the restart).
+        // A total below the baseline (the snapshots come from different
+        // registries, e.g. across a restart) is a counter reset: keep the
+        // current total whole instead of underflowing.
         d.counter =
             d.counter >= prev.counter ? d.counter - prev.counter : d.counter;
       } else if (d.kind == MetricKind::kHistogram &&

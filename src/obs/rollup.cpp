@@ -61,8 +61,7 @@ HistogramData RollupStore::merged_histogram(std::string_view name,
         out.counts[k] += h.counts[k];
       }
     } else {
-      // Incompatible layouts across windows (e.g. a retire/re-register with
-      // new bounds mid-history): keep moments only, same as
+      // Incompatible layouts across windows: keep moments only, same as
       // Snapshot::merged_histogram.
       out.counts.clear();
       out.bounds.clear();

@@ -19,25 +19,11 @@
 /// with pause/seek per session) and relays live ASF streams to every joined
 /// subscriber ("broadcast ... in real time", §2.5).
 ///
-/// Measurement goes through the simulation's `obs::MetricsRegistry`
-/// (`lod.server.*` series) — `metrics()` is the read-side view. The
-/// `SessionStats` value type is materialized from the registry on demand by
-/// `ServerMetrics::session`.
+/// Aggregate measurement goes through the simulation's `obs::MetricsRegistry`
+/// (`lod.server.*` series) — `metrics()` is the read-side view. Per-session
+/// counters live in the session table (`ServerMetrics::session`).
 
 namespace lod::streaming {
-
-/// Per-session counters, inspectable by tests and benches.
-///
-/// Compatibility view: the numbers now live in the metrics registry
-/// (`lod.server.session.*{host,session}`); this struct is materialized on
-/// demand by `ServerMetrics::session`.
-struct SessionStats {
-  std::uint64_t packets_sent{0};
-  std::uint64_t bytes_sent{0};
-  std::uint64_t seeks{0};
-  std::uint64_t pauses{0};
-  std::uint64_t repairs{0};  ///< packets resent on client NACKs
-};
 
 /// Aggregate server configuration (mirrors `PlayerConfig`): every tunable
 /// in one struct, validated in one place.
@@ -100,7 +86,7 @@ class ServerMetrics {
   std::uint64_t repairs() const;
   std::uint64_t sessions_opened() const;
   std::int64_t active_sessions() const;
-  /// Per-session counters; nullopt for unknown sessions.
+  /// An open session's counters; nullopt once it has ended (or never was).
   std::optional<SessionStats> session(std::uint64_t id) const;
   /// Whole-simulation snapshot (every layer's series, not just the server).
   obs::Snapshot snapshot() const;
@@ -153,7 +139,7 @@ class StreamingServer : private SessionEngine {
 
   // --- introspection ---------------------------------------------------------
 
-  /// Registry-backed measurement view (`lod.server.*`).
+  /// Measurement view: `lod.server.*` aggregates, open sessions' counters.
   ServerMetrics metrics() const { return ServerMetrics(this); }
 
   using SessionEngine::active_sessions;

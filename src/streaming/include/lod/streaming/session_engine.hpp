@@ -9,6 +9,7 @@
 
 #include "lod/media/asf.hpp"
 #include "lod/net/transport.hpp"
+#include "lod/obs/hub.hpp"
 #include "lod/streaming/protocol.hpp"
 
 /// \file session_engine.hpp
@@ -23,6 +24,9 @@
 /// joins).
 
 namespace lod::streaming {
+
+/// A session's counters (`ServerMetrics::session`, `/debug/sessions`).
+using obs::SessionStats;
 
 /// Where a session's packets come from: a stored file at the origin, the
 /// segment cache at an edge. The pacing table (header props, per-packet
@@ -71,15 +75,6 @@ class SessionEngine {
  public:
   using Message = net::ReliableEndpoint::Message;
 
-  /// Registry handles for one session's `lod.<role>.session.*` series.
-  struct SessionCounters {
-    obs::Counter packets_sent;
-    obs::Counter bytes_sent;
-    obs::Counter seeks;
-    obs::Counter pauses;
-    obs::Counter repairs;
-  };
-
   struct Counters {
     obs::Counter packets_sent;
     obs::Counter bytes_sent;
@@ -102,7 +97,6 @@ class SessionEngine {
     std::uint64_t next_seq{0};
     std::uint32_t epoch{0};  ///< stream discontinuity counter (seeks)
     bool paused{false};
-    bool stopped{false};
     /// Set while parked on a fill; a seek clears it, so a stale fill
     /// completing later cannot double-schedule the session.
     std::optional<std::uint32_t> parked;
@@ -116,7 +110,7 @@ class SessionEngine {
     /// of the burst.
     net::SimTime timer_due{};
     std::optional<net::EventId> timer;
-    SessionCounters stats;  ///< null handles without per-session series
+    SessionStats stats;
   };
 
   /// How a session starts: a kPlay, or a session a failing-over player
@@ -138,13 +132,12 @@ class SessionEngine {
   };
 
   /// Binds \p control_port and control_port + 1 on \p host. \p role names
-  /// the series (`lod.<role>.*`) and spans (`<role>.open`). With
-  /// \p per_session_series every session also publishes
-  /// `lod.<role>.session.*`, retired (a registry scan) when it ends.
+  /// the series (`lod.<role>.*`), spans (`<role>.open`) and the engine's
+  /// `/debug/sessions` rows, listed through the transport's `obs::Hub`.
   SessionEngine(net::Transport& net, net::HostId host, net::Port control_port,
-                double fast_start_multiplier, std::string role,
-                bool per_session_series);
-  /// Cancels every pending pacing timer: they capture `this`.
+                double fast_start_multiplier, std::string role);
+  /// Cancels every pending pacing timer (they capture `this`) and leaves
+  /// the hub's session listing.
   virtual ~SessionEngine();
   SessionEngine(const SessionEngine&) = delete;
   SessionEngine& operator=(const SessionEngine&) = delete;
@@ -159,7 +152,8 @@ class SessionEngine {
   /// Open a session on \p src as \p st says and pace it unless paused. A
   /// kPlay is answered with kPlayOk; an adoption's reply is the caller's.
   Session& start(PacketSource& src, const Start& st);
-  /// Mark \p s stopped: gauge, series retirement, trace, timer.
+  /// End \p s: gauge, trace, timer, and erase it from the table (\p s
+  /// dangles afterwards).
   void end(Session& s);
 
   /// A fill for \p token landed: resume \p session if it is parked on it.
@@ -197,7 +191,7 @@ class SessionEngine {
                            const Message& /*m*/) {}
 
   void handle_control(const Message& m);
-  /// An open session reading a source (not live, not stopped), or nullptr.
+  /// An open session reading a source (not live), or nullptr.
   Session* playable(std::uint64_t id);
   /// Jump to \p packet and pace from it as of now.
   void anchor(Session& s, std::uint32_t packet);
@@ -209,7 +203,6 @@ class SessionEngine {
 
   double fast_start_multiplier_;
   std::string role_;
-  bool per_session_series_;
   net::ReliableEndpoint ctl_;
   net::DatagramSocket data_;
   Counters counters_;

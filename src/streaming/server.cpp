@@ -9,8 +9,7 @@ using proto::Ctl;
 StreamingServer::StreamingServer(net::Transport& net, net::HostId host,
                                  ServerConfig cfg)
     : SessionEngine(net, host, cfg.validated().control_port,
-                    cfg.validated().fast_start_multiplier, "server",
-                    /*per_session_series=*/true),
+                    cfg.validated().fast_start_multiplier, "server"),
       config_(cfg.validated()) {}
 
 void StreamingServer::configure(ServerConfig cfg) {
@@ -58,7 +57,7 @@ StreamingServer::open_live_channel(std::string name, media::asf::Header header) 
     // Serialize once; every subscriber's datagram shares the same body.
     const net::Payload bytes{media::asf::serialize_packet(pkt)};
     for (std::uint64_t sid : it->second.subscribers) {
-      if (auto* s = find(sid); s && !s->stopped && !s->paused) {
+      if (auto* s = find(sid); s && !s->paused) {
         // Live packets are unrepeatable; index mirrors the seq counter.
         send_packet(*s, bytes, static_cast<std::uint32_t>(s->next_seq));
       }
@@ -71,7 +70,7 @@ void StreamingServer::close_live_channel(const std::string& name) {
   if (it == live_.end()) return;
   it->second.open = false;
   for (std::uint64_t sid : it->second.subscribers) {
-    if (const auto* s = find(sid); s && !s->stopped) {
+    if (const auto* s = find(sid)) {
       send_eos(*s, 0);  // live streams are unrepeatable: no repairs
     }
   }
@@ -93,11 +92,8 @@ std::int64_t ServerMetrics::active_sessions() const {
   return server_->counters().active_sessions.value();
 }
 std::optional<SessionStats> ServerMetrics::session(std::uint64_t id) const {
-  const SessionEngine::Session* s = server_->find(id);
-  if (!s) return std::nullopt;
-  const SessionEngine::SessionCounters& c = s->stats;
-  return SessionStats{c.packets_sent.value(), c.bytes_sent.value(),
-                      c.seeks.value(), c.pauses.value(), c.repairs.value()};
+  if (const SessionEngine::Session* s = server_->find(id)) return s->stats;
+  return std::nullopt;
 }
 obs::Snapshot ServerMetrics::snapshot() const {
   return server_->net_.obs().snapshot();

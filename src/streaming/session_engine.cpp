@@ -10,14 +10,12 @@ using proto::Ctl;
 
 SessionEngine::SessionEngine(net::Transport& net, net::HostId host,
                              net::Port control_port,
-                             double fast_start_multiplier, std::string role,
-                             bool per_session_series)
+                             double fast_start_multiplier, std::string role)
     : net_(net),
       host_(host),
       trace_(&net.obs().trace()),
       fast_start_multiplier_(fast_start_multiplier),
       role_(std::move(role)),
-      per_session_series_(per_session_series),
       ctl_(net, host, control_port),
       data_(net, host, static_cast<net::Port>(control_port + 1)) {
   auto& reg = net_.obs().metrics();
@@ -30,9 +28,16 @@ SessionEngine::SessionEngine(net::Transport& net, net::HostId host,
       reg.counter(prefix + "sessions_opened", host_label);
   counters_.active_sessions = reg.gauge(prefix + "active_sessions", host_label);
   ctl_.on_receive([this](const Message& m) { handle_control(m); });
+  net_.obs().add_sessions(this, [this](std::vector<obs::SessionRow>& rows) {
+    for (const auto& [id, s] : sessions_) {
+      rows.push_back({role_, host_, id, s.client, s.paused,
+                      s.parked.has_value(), s.stats});
+    }
+  });
 }
 
 SessionEngine::~SessionEngine() {
+  net_.obs().remove_sessions(this);
   for (auto& [id, s] : sessions_) {
     if (s.timer) net_.cancel(*s.timer);
   }
@@ -49,7 +54,7 @@ const SessionEngine::Session* SessionEngine::find(std::uint64_t id) const {
 
 SessionEngine::Session* SessionEngine::playable(std::uint64_t id) {
   Session* s = find(id);
-  return s && !s->stopped && s->source ? s : nullptr;
+  return s && s->source ? s : nullptr;
 }
 
 void SessionEngine::trace(obs::EventType type, const Session& s,
@@ -93,17 +98,6 @@ SessionEngine::Session& SessionEngine::open(net::HostId client,
   s.data_port = data_port;
   s.source = src;
   s.ctx = ctx;
-  if (per_session_series_) {
-    auto& reg = net_.obs().metrics();
-    const obs::Labels labels{{"host", std::to_string(host_)},
-                             {"session", std::to_string(id)}};
-    const std::string prefix = "lod." + role_ + ".session.";
-    s.stats.packets_sent = reg.counter(prefix + "packets_sent", labels);
-    s.stats.bytes_sent = reg.counter(prefix + "bytes_sent", labels);
-    s.stats.seeks = reg.counter(prefix + "seeks", labels);
-    s.stats.pauses = reg.counter(prefix + "pauses", labels);
-    s.stats.repairs = reg.counter(prefix + "repairs", labels);
-  }
   counters_.sessions_opened.inc();
   counters_.active_sessions.add(1);
   return s;
@@ -147,20 +141,10 @@ SessionEngine::Session& SessionEngine::start(PacketSource& src,
 }
 
 void SessionEngine::end(Session& s) {
-  if (s.stopped) return;
-  s.stopped = true;
   counters_.active_sessions.add(-1);
-  if (per_session_series_) {
-    // Cardinality hygiene: the session's labeled series leave the registry
-    // (long simulations would otherwise grow it without bound). The handles
-    // in s.stats stay valid — retire() moves the cells to a graveyard — so
-    // the final values stay readable.
-    net_.obs().metrics().retire("lod." + role_ + ".session.",
-                                {{"host", std::to_string(host_)},
-                                 {"session", std::to_string(s.id)}});
-  }
   trace(obs::EventType::kSessionStop, s);
   cancel_timer(s);
+  sessions_.erase(s.id);
 }
 
 void SessionEngine::anchor(Session& s, std::uint32_t packet) {
@@ -202,7 +186,7 @@ void SessionEngine::handle_control(const Message& m) {
     case Ctl::kPause: {
       if (Session* s = playable(r.u64())) {
         s->paused = true;
-        s->stats.pauses.inc();
+        ++s->stats.pauses;
         trace(obs::EventType::kSessionPause, *s);
         cancel_timer(*s);
       }
@@ -223,7 +207,7 @@ void SessionEngine::handle_control(const Message& m) {
       const std::uint64_t sid = r.u64();
       const net::SimDuration to{r.i64()};
       if (Session* s = playable(sid)) {
-        s->stats.seeks.inc();
+        ++s->stats.seeks;
         trace(obs::EventType::kSessionSeek, *s, to.us);
         ++s->epoch;  // packets from before the jump are now stale
         cancel_timer(*s);
@@ -294,7 +278,7 @@ void SessionEngine::handle_control(const Message& m) {
 }
 
 void SessionEngine::schedule_next(Session& s) {
-  if (s.stopped || s.paused || s.parked || !s.source) return;
+  if (s.paused || s.parked || !s.source) return;
   cancel_timer(s);
   const PacketSource& src = *s.source;
   if (s.next_packet >= src.packet_count()) {
@@ -337,7 +321,7 @@ void SessionEngine::schedule_next(Session& s) {
 
 void SessionEngine::fire(std::uint64_t id) {
   Session* s = find(id);
-  if (!s || s->stopped || s->paused || s->parked || !s->source) return;
+  if (!s || s->paused || s->parked || !s->source) return;
   s->timer.reset();
   const std::uint32_t idx = s->next_packet;
   // The source may have shrunk since the timer was armed (a republished
@@ -363,7 +347,7 @@ void SessionEngine::fire(std::uint64_t id) {
 
 void SessionEngine::unpark(std::uint64_t session, std::uint32_t token) {
   Session* s = find(session);
-  if (!s || s->stopped || s->parked != token) return;
+  if (!s || s->parked != token) return;
   s->parked.reset();
   if (!s->paused) schedule_next(*s);
 }
@@ -371,8 +355,8 @@ void SessionEngine::unpark(std::uint64_t session, std::uint32_t token) {
 void SessionEngine::resend(std::uint64_t session, std::uint32_t idx,
                            const net::Payload& bytes) {
   Session* s = find(session);
-  if (!s || s->stopped) return;
-  s->stats.repairs.inc();
+  if (!s) return;
+  ++s->stats.repairs;
   counters_.repairs.inc();
   trace(obs::EventType::kRepairResend, *s, idx);
   send_packet(*s, bytes, idx);
@@ -408,8 +392,8 @@ void SessionEngine::send_packet(Session& s, const net::Payload& bytes,
           nominal) +
       28;
   p.channel = s.channel;
-  s.stats.packets_sent.inc();
-  s.stats.bytes_sent.inc(p.wire_size);
+  ++s.stats.packets_sent;
+  s.stats.bytes_sent += p.wire_size;
   counters_.packets_sent.inc();
   counters_.bytes_sent.inc(p.wire_size);
   net_.send(std::move(p));

@@ -1,7 +1,8 @@
 // The live /debug introspection plane over real kernel sockets: route
 // catalog, hardened HTTP parsing (404 with a body, 405, 431 on an oversized
-// request line, split reads), rollup-backed /debug/vars rates, and the
-// /debug/flight journal served in dump format.
+// request line, split reads), rollup-backed /debug/vars rates, the
+// /debug/sessions rows of a live engine, and the /debug/flight journal
+// served in dump format.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +13,16 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <functional>
+#include <future>
 #include <string>
 #include <thread>
 
 #include "lod/net/real_transport.hpp"
 #include "lod/net/transport.hpp"
 #include "lod/obs/flight.hpp"
+#include "lod/streaming/encoder.hpp"
+#include "lod/streaming/server.hpp"
 
 namespace lod::net {
 namespace {
@@ -86,6 +91,16 @@ class DebugHttpTest : public ::testing::Test {
   void TearDown() override {
     net_->stop();
     loop_.join();
+  }
+
+  /// Run \p fn on the loop thread, where engines and sockets live, and wait.
+  void on_loop(const std::function<void()>& fn) {
+    std::promise<void> done;
+    net_->schedule_at(net_->now(), [&] {
+      fn();
+      done.set_value();
+    });
+    done.get_future().wait();
   }
 
   std::unique_ptr<RealTransport> net_;
@@ -166,6 +181,54 @@ TEST_F(DebugHttpTest, SessionsAndSyncRoutesAnswerJson) {
   ASSERT_TRUE(sessions.has_value());
   EXPECT_EQ(sessions->status, 200);
   EXPECT_EQ(sessions->body.find("{\"hosts\":["), 0u);
+
+  // An origin with one open session: the page lists its row until the
+  // engine is destroyed.
+  constexpr HostId kClient = 2;
+  constexpr Port kCtl = 19380;
+  std::unique_ptr<streaming::StreamingServer> server;
+  std::unique_ptr<ReliableEndpoint> ctl;
+  std::unique_ptr<DatagramSocket> data;
+  on_loop([&] {
+    net_->register_host(kClient, "client");
+    streaming::EncodeJob job;
+    job.profile = *media::find_profile("Video 250k DSL/cable");
+    media::LectureVideoSource v(sec(1), job.profile.fps, job.profile.width,
+                                job.profile.height, 7);
+    media::LectureAudioSource a(sec(1), job.profile.audio_sample_rate());
+    streaming::ServerConfig cfg;
+    cfg.control_port = kCtl;
+    server = std::make_unique<streaming::StreamingServer>(*net_, kHost, cfg);
+    server->publish("lec", streaming::encode_lecture(job, v, a, {}).file);
+    ctl = std::make_unique<ReliableEndpoint>(*net_, kClient, Port{19390});
+    data = std::make_unique<DatagramSocket>(*net_, kClient, Port{19391});
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(streaming::proto::Ctl::kPlay));
+    w.str("lec");
+    w.i64(0);
+    w.u16(data->port());
+    w.u32(0);  // no QoS channel
+    ctl->send_to(kHost, kCtl, std::move(w).take());
+  });
+  const std::string row = "{\"role\":\"server\",\"host\":" +
+                          std::to_string(kHost) + ",\"id\":1,\"client\":" +
+                          std::to_string(kClient) + ",";
+  std::string page;
+  for (int i = 0; i < 500 && page.find(row) == std::string::npos; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (const auto r = http_get(ip_, kPort, "/debug/sessions")) page = r->body;
+  }
+  EXPECT_NE(page.find(row), std::string::npos) << page;
+  EXPECT_NE(page.find("\"lod.server.sessions_opened\""), std::string::npos);
+  on_loop([&] {
+    server.reset();
+    ctl.reset();
+    data.reset();
+  });
+  const auto after = http_get(ip_, kPort, "/debug/sessions");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_NE(after->body.find("\"sessions\":[]}"), std::string::npos)
+      << after->body;
 
   const auto sync = http_get(ip_, kPort, "/debug/sync");
   ASSERT_TRUE(sync.has_value());

@@ -287,21 +287,50 @@ TEST_F(TransportFixture, GapFillDeliversStashedMessagesInSeqOrder) {
   });
 
   DatagramSocket raw(net, a, 100);
-  const auto frame = [](std::uint64_t seq, std::string_view body) {
-    // Legacy inline framing: [kData=1][incarnation u64][seq u64][u32 n][bytes]
+  const auto header = [](std::uint64_t seq) {
+    // [kData=1][incarnation u64][seq u64]; the message rides as the body.
     ByteWriter w;
     w.u8(1);
     w.u64(7);  // any nonzero incarnation
     w.u64(seq);
-    w.u32(static_cast<std::uint32_t>(body.size()));
-    w.raw(bytes_of(body));
     return std::move(w).take();
   };
   for (const std::uint64_t seq : {2u, 0u, 3u, 1u}) {
-    raw.send_to(b, 200, frame(seq, "m" + std::to_string(seq)));
+    raw.send_to(b, 200, header(seq),
+                Payload{bytes_of("m" + std::to_string(seq))}, 28);
   }
   sim.run();
   EXPECT_EQ(got, (std::vector<std::string>{"m0", "m1", "m2", "m3"}));
+}
+
+TEST_F(TransportFixture, InlineFramedDataIsDroppedNotDelivered) {
+  // A data frame with bytes after its header (the old inline framing,
+  // [u32 n][bytes]) is foreign input: dropped unacked, body or not.
+  link();
+  ReliableEndpoint eb(net, b, 200);
+  int delivered = 0;
+  eb.on_receive([&](const ReliableEndpoint::Message&) { ++delivered; });
+  DatagramSocket raw(net, a, 100);
+  int acks = 0;
+  raw.on_receive([&](const Datagram&) { ++acks; });
+
+  ByteWriter inline_frame;
+  inline_frame.u8(1);
+  inline_frame.u64(7);
+  inline_frame.u64(0);
+  inline_frame.u32(2);
+  inline_frame.raw(bytes_of("m0"));
+  raw.send_to(b, 200, std::move(inline_frame).take());
+  ByteWriter trailing;
+  trailing.u8(1);
+  trailing.u64(7);
+  trailing.u64(0);
+  trailing.u8(0);
+  raw.send_to(b, 200, std::move(trailing).take(), Payload{bytes_of("m0")},
+              28);
+  sim.run();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(acks, 0);
 }
 
 TEST_F(TransportFixture, ReliableDeliveryIsZeroCopy) {

@@ -297,39 +297,34 @@ TEST(RollupStore, WindowRingIsBounded) {
   EXPECT_EQ(store.newest_end(), 10'000);
 }
 
-TEST(RollupStore, CounterResetAfterRetireKeepsPostResetTotal) {
+TEST(RollupStore, CounterBelowBaselineKeepsCurrentTotal) {
   MetricsRegistry reg;
-  Counter c = reg.counter("session.bytes", {{"session", "1"}});
   RollupStore store;
-  c.inc(100);
+  reg.counter("x.bytes", {{"host", "1"}}).inc(100);
   store.roll(reg.snapshot(), 1000);
-  // The session ends: its series retires, then a NEW session re-registers
-  // the same identity from zero. The next window must not underflow — the
-  // reset rule keeps the post-reset total (7) whole.
-  reg.retire("session.bytes", {{"session", "1"}});
-  Counter c2 = reg.counter("session.bytes", {{"session", "1"}});
-  c2.inc(7);
-  store.roll(reg.snapshot(), 2000);
+  // The next snapshot comes from a second registry (a restarted process)
+  // whose total is lower. The window must not underflow: the reset rule
+  // keeps the current total (7) whole.
+  MetricsRegistry restarted;
+  restarted.counter("x.bytes", {{"host", "1"}}).inc(7);
+  store.roll(restarted.snapshot(), 2000);
   ASSERT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.windows()[0].delta.total("session.bytes"), 7u);
-  EXPECT_EQ(store.rate("session.bytes").delta, 7u);
+  EXPECT_EQ(store.windows()[0].delta.total("x.bytes"), 7u);
+  EXPECT_EQ(store.rate("x.bytes").delta, 7u);
 }
 
-TEST(RollupStore, HistogramResetAfterRetireKeepsCurrentTallies) {
+TEST(RollupStore, HistogramBelowBaselineKeepsCurrentTallies) {
   MetricsRegistry reg;
   Histogram h = reg.histogram("lat.us");
-  Snapshot before;
-  {
-    h.observe(10);
-    h.observe(20);
-    h.observe(30);
-    before = reg.snapshot();
-  }
-  // Retire + re-register: totals go DOWN between snapshots.
-  reg.retire("lat.us");
-  Histogram h2 = reg.histogram("lat.us");
-  h2.observe(5);
-  const Snapshot after = reg.snapshot();
+  h.observe(10);
+  h.observe(20);
+  h.observe(30);
+  const Snapshot before = reg.snapshot();
+  // A second registry with the same series: totals go DOWN between
+  // snapshots.
+  MetricsRegistry restarted;
+  restarted.histogram("lat.us").observe(5);
+  const Snapshot after = restarted.snapshot();
   const Snapshot delta = after.since(before);
   const HistogramData* d = delta.histogram("lat.us");
   ASSERT_NE(d, nullptr);
@@ -385,17 +380,29 @@ TEST(DebugPlane, SessionsJsonGroupsByLabels) {
   MetricsRegistry reg;
   reg.counter("lod.server.sessions_opened", {{"host", "1"}}).inc(2);
   reg.gauge("lod.server.active_sessions", {{"host", "1"}}).set(1);
-  reg.counter("lod.server.session.packets_sent",
-              {{"host", "1"}, {"session", "9"}})
-      .inc(55);
-  reg.counter("lod.server.session.seeks", {{"host", "1"}, {"session", "9"}})
-      .inc(3);
-  const std::string json = debug_sessions_json(reg.snapshot());
-  EXPECT_NE(json.find("\"sessions\":["), std::string::npos);
-  EXPECT_NE(json.find("\"session\":\"9\""), std::string::npos);
+  reg.gauge("lod.edge.active_sessions", {{"host", "2"}}).set(1);
+  reg.counter("lod.server.packets_sent", {{"host", "1"}}).inc(99);
+  SessionRow origin{.role = "server", .host = 1, .id = 9, .client = 4};
+  origin.stats.packets_sent = 55;
+  origin.stats.seeks = 3;
+  const SessionRow edge{.role = "edge", .host = 2, .id = 1, .client = 5,
+                        .parked = true};
+  const std::string json = debug_sessions_json(reg.snapshot(), {origin, edge});
+  EXPECT_NE(json.find("\"lod.server.active_sessions\""), std::string::npos);
+  EXPECT_NE(json.find("\"lod.edge.active_sessions\""), std::string::npos);
+  EXPECT_EQ(json.find("lod.server.packets_sent"), std::string::npos);
+  // Rows are ordered by role, host and id: the edge row comes first.
+  const auto edge_at = json.find("{\"role\":\"edge\",\"host\":2,\"id\":1,"
+                                 "\"client\":5,\"paused\":false,"
+                                 "\"parked\":true,");
+  const auto origin_at = json.find("{\"role\":\"server\",\"host\":1,\"id\":9,");
+  ASSERT_NE(edge_at, std::string::npos) << json;
+  ASSERT_NE(origin_at, std::string::npos) << json;
+  EXPECT_LT(edge_at, origin_at);
   EXPECT_NE(json.find("\"packets_sent\":55"), std::string::npos);
   EXPECT_NE(json.find("\"seeks\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"lod.server.active_sessions\""), std::string::npos);
+  EXPECT_NE(debug_sessions_json(reg.snapshot(), {}).find("\"sessions\":[]}"),
+            std::string::npos);
 }
 
 TEST(DebugPlane, SyncJsonFiltersToSyncSeries) {

@@ -105,62 +105,9 @@ TEST(Metrics, DefaultHistogramUsesLatencyBuckets) {
   EXPECT_EQ(h.data()->bounds, MetricsRegistry::latency_buckets_us());
 }
 
-TEST(Metrics, RetireRemovesSeriesButKeepsHandlesValid) {
-  MetricsRegistry reg;
-  Counter total = reg.counter("lod.server.sessions_opened");
-  Counter per = reg.counter("lod.server.session.packets_sent",
-                            {{"host", "0"}, {"session", "1"}});
-  Counter other = reg.counter("lod.server.session.packets_sent",
-                              {{"host", "0"}, {"session", "2"}});
-  total.inc();
-  per.inc(5);
-  other.inc(7);
-  ASSERT_EQ(reg.series_count(), 3u);
-
-  EXPECT_EQ(reg.retire("lod.server.session.", {{"session", "1"}}), 1u);
-  EXPECT_EQ(reg.series_count(), 2u);
-  EXPECT_EQ(reg.retired_count(), 1u);
-  // The aggregate and the other session survive; the retired series left
-  // the snapshot.
-  const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter("lod.server.sessions_opened"), 1u);
-  EXPECT_EQ(snap.counter("lod.server.session.packets_sent",
-                         {{"host", "0"}, {"session", "2"}}),
-            7u);
-  EXPECT_EQ(snap.counter("lod.server.session.packets_sent",
-                         {{"host", "0"}, {"session", "1"}}),
-            0u);
-  // The old handle still points at a live cell (the graveyard), and a
-  // re-request mints a fresh cell starting from zero.
-  per.inc();
-  EXPECT_EQ(per.value(), 6u);
-  Counter fresh = reg.counter("lod.server.session.packets_sent",
-                              {{"host", "0"}, {"session", "1"}});
-  EXPECT_EQ(fresh.value(), 0u);
-  EXPECT_EQ(reg.series_count(), 3u);
-}
-
-TEST(Metrics, RetireBoundsCardinalityAcrossSessionChurn) {
-  MetricsRegistry reg;
-  Counter opened = reg.counter("lod.server.sessions_opened");
-  for (int i = 0; i < 1000; ++i) {
-    const Labels id{{"host", "0"}, {"session", std::to_string(i)}};
-    reg.counter("lod.server.session.packets_sent", id).inc(3);
-    reg.counter("lod.server.session.bytes_sent", id).inc(400);
-    opened.inc();
-    // Session close: per-session series retire, aggregates stay.
-    EXPECT_EQ(reg.retire("lod.server.session.", id), 2u);
-    EXPECT_LE(reg.series_count(), 3u);
-  }
-  EXPECT_EQ(reg.series_count(), 1u);  // just the aggregate
-  EXPECT_EQ(reg.retired_count(), 2000u);
-  EXPECT_EQ(reg.snapshot().counter("lod.server.sessions_opened"), 1000u);
-}
-
 // --- handle semantics ------------------------------------------------------------
 // The handle API is the hot path; the string API is the cold resolver. These
-// pin the contract between them across kind conflicts, retirement, and
-// re-registration.
+// pin the contract between them across kind conflicts and label order.
 
 TEST(Metrics, HandleAndStringWritesLandInTheSameCell) {
   MetricsRegistry reg;
@@ -182,41 +129,6 @@ TEST(Metrics, KindConflictThrowsRegardlessOfResolutionOrder) {
   EXPECT_THROW(reg.histogram("lod.test.kc"), std::logic_error);
   reg.gauge("lod.test.kc2");
   EXPECT_THROW(reg.counter("lod.test.kc2"), std::logic_error);
-}
-
-TEST(Metrics, BumpAfterRetireIsSafeAndInvisible) {
-  MetricsRegistry reg;
-  const Counter h = reg.counter("lod.test.session.bytes", {{"session", "9"}});
-  h.inc(100);
-  ASSERT_EQ(reg.retire("lod.test.session.", {{"session", "9"}}), 1u);
-  // The handle still points at a live cell (the graveyard) — bumping it must
-  // not crash, and must not resurrect the series in any snapshot.
-  h.inc(50);
-  EXPECT_EQ(h.value(), 150u);
-  EXPECT_EQ(reg.snapshot().counter("lod.test.session.bytes",
-                                   {{"session", "9"}}), 0u);
-  EXPECT_EQ(reg.series_count(), 0u);
-}
-
-TEST(Metrics, ReRegisterAfterRetireIsAFreshCell) {
-  MetricsRegistry reg;
-  const Counter old_h = reg.counter("lod.test.session.bytes", {{"session", "9"}});
-  old_h.inc(100);
-  reg.retire("lod.test.session.", {{"session", "9"}});
-
-  // Same identity requested again (session id reused): a NEW series starting
-  // from zero, not the graveyard cell.
-  const Counter new_h = reg.counter("lod.test.session.bytes", {{"session", "9"}});
-  EXPECT_EQ(new_h.value(), 0u);
-  new_h.inc(7);
-  old_h.inc(1);  // still writes the graveyard, not the new cell
-  EXPECT_EQ(new_h.value(), 7u);
-  EXPECT_EQ(old_h.value(), 101u);
-  EXPECT_EQ(reg.snapshot().counter("lod.test.session.bytes",
-                                   {{"session", "9"}}), 7u);
-  // And a kind flip on the reused identity is still a conflict.
-  EXPECT_THROW(reg.gauge("lod.test.session.bytes", {{"session", "9"}}),
-               std::logic_error);
 }
 
 TEST(Metrics, ResolveIsLabelOrderInsensitiveForHandles) {
@@ -254,24 +166,6 @@ TEST(Metrics, MergedHistogramFallsBackToMomentsOnMismatchedBounds) {
   ASSERT_EQ(same.counts.size(), 3u);
   EXPECT_EQ(same.counts[0], 1u);
   EXPECT_EQ(same.counts[1], 1u);
-}
-
-TEST(Metrics, SinceSkipsSeriesRetiredBetweenSnapshots) {
-  MetricsRegistry reg;
-  Counter keep = reg.counter("keep");
-  Counter gone = reg.counter("gone", {{"session", "9"}});
-  keep.inc(2);
-  gone.inc(5);
-  const Snapshot before = reg.snapshot();
-  keep.inc(3);
-  reg.retire("gone", {{"session", "9"}});
-  const Snapshot after = reg.snapshot();
-  const Snapshot delta = after.since(before);
-  // The retired series is simply absent from the window — not a negative
-  // or stale entry.
-  EXPECT_EQ(delta.counter("keep"), 3u);
-  EXPECT_EQ(delta.entries().count(series_key("gone", {{"session", "9"}})), 0u);
-  EXPECT_EQ(delta.size(), 1u);
 }
 
 TEST(Metrics, SnapshotDiffIsolatesAPhase) {

@@ -1,7 +1,8 @@
 // The session engine shared by the origin and the edge: both roles emit the
-// same stream for the same script, and the engine's exit paths hold up
-// (shrinking sources, late live joins, destruction mid-session, verbs on a
-// stopped session).
+// same stream for the same script, a session's accounting leaves with it
+// (the table and /debug/sessions hold open sessions only), and the engine's
+// exit paths hold up (shrinking sources, late live joins, destruction
+// mid-session, verbs on a stopped session).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "lod/edge/edge_node.hpp"
 #include "lod/net/network.hpp"
+#include "lod/obs/debug.hpp"
 #include "lod/obs/hub.hpp"
 #include "lod/streaming/encoder.hpp"
 #include "lod/streaming/player.hpp"
@@ -162,6 +164,29 @@ struct TwoRoleFixture : ::testing::Test {
     server->publish("lec", lecture(sec(12)));
   }
 
+  /// A whole playout through the edge pulls every segment into its cache.
+  void warm_edge() {
+    PlayerConfig cfg;
+    cfg.model = SyncModel::kEtpn;
+    cfg.ctl_port = 5000;
+    cfg.data_port = 5001;
+    cfg.web_server = origin_host;
+    Player warm(network, client_host, cfg);
+    warm.open_and_play(edge_host, "lec");
+    sim.run_until(sim.now() + sec(40));
+    ASSERT_TRUE(warm.finished());
+    warm.stop();
+    sim.run_until(sim.now() + sec(1));
+  }
+
+  /// Whether `/debug/sessions` lists session \p id of the engine on \p host.
+  bool listed(net::HostId host, std::uint64_t id) const {
+    for (const obs::SessionRow& r : sim.obs().sessions()) {
+      if (r.host == host && r.id == id) return true;
+    }
+    return false;
+  }
+
   /// Play, pause, resume, seek, set-rate, repair and stop, at fixed offsets
   /// from PLAY; returns the client with everything it received.
   std::unique_ptr<RawClient> run_script(net::HostId site, net::Port base) {
@@ -191,20 +216,7 @@ struct TwoRoleFixture : ::testing::Test {
 };
 
 TEST_F(TwoRoleFixture, OriginAndWarmEdgeEmitTheSameStream) {
-  // Warm the edge: a whole playout pulls every segment into its cache.
-  {
-    PlayerConfig cfg;
-    cfg.model = SyncModel::kEtpn;
-    cfg.ctl_port = 5000;
-    cfg.data_port = 5001;
-    cfg.web_server = origin_host;
-    Player warm(network, client_host, cfg);
-    warm.open_and_play(edge_host, "lec");
-    sim.run_until(sim.now() + sec(40));
-    ASSERT_TRUE(warm.finished());
-    warm.stop();
-    sim.run_until(sim.now() + sec(1));
-  }
+  ASSERT_NO_FATAL_FAILURE(warm_edge());
   const std::uint64_t fills = edge->demand_fetches() + edge->prefetch_fetches();
 
   const auto via_origin = run_script(origin_host, 6000);
@@ -230,6 +242,90 @@ TEST_F(TwoRoleFixture, OriginAndWarmEdgeEmitTheSameStream) {
   }
   EXPECT_GT(after_seek, 0u);
   EXPECT_GE(index_40, 1u);  // the repair, whether or not 40 was paced too
+}
+
+// --- session accounting ------------------------------------------------------
+
+TEST_F(TwoRoleFixture, SessionChurnLeavesNothingBehindInEitherRole) {
+  ASSERT_NO_FATAL_FAILURE(warm_edge());
+  RawClient via_origin(network, client_host, origin_host, 6000);
+  RawClient via_edge(network, client_host, edge_host, 6100);
+  const auto churn = [&](int sessions) {
+    for (int i = 0; i < sessions; ++i) {
+      for (RawClient* c : {&via_origin, &via_edge}) {
+        c->session = 0;
+        c->play("lec");
+        sim.run_until(sim.now() + msec(50));
+        ASSERT_NE(c->session, 0u);
+        const std::uint64_t id = c->session;
+        ASSERT_TRUE(listed(c->server, id));
+        c->send(c->verb(Ctl::kStop));
+        sim.run_until(sim.now() + msec(50));
+        ASSERT_FALSE(listed(c->server, id));
+        if (c == &via_origin) {
+          ASSERT_FALSE(server->metrics().session(id).has_value());
+        }
+      }
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(churn(100));
+  const std::size_t series = sim.obs().metrics().series_count();
+  ASSERT_NO_FATAL_FAILURE(churn(1900));
+  sim.run_until(sim.now() + sec(5));
+
+  // 2000 sessions per role cost the registry nothing over 100.
+  EXPECT_EQ(server->metrics().sessions_opened(), 2000u);
+  EXPECT_EQ(sim.obs().metrics().series_count(), series);
+  EXPECT_EQ(server->active_sessions(), 0u);
+  EXPECT_EQ(edge->active_sessions(), 0u);
+  EXPECT_TRUE(sim.obs().sessions().empty());
+}
+
+TEST_F(TwoRoleFixture, DebugSessionsListsOpenSessionsOfEveryLiveEngine) {
+  ASSERT_NO_FATAL_FAILURE(warm_edge());
+  RawClient via_origin(network, client_host, origin_host, 6000);
+  RawClient via_edge(network, client_host, edge_host, 6100);
+  via_origin.play("lec");
+  via_edge.play("lec");
+  sim.run_until(sim.now() + sec(1));
+  ASSERT_NE(via_edge.session, 0u);
+  const auto row = [&](std::string_view role, net::HostId host,
+                       std::uint64_t id) {
+    return "{\"role\":\"" + std::string(role) +
+           "\",\"host\":" + std::to_string(host) +
+           ",\"id\":" + std::to_string(id) +
+           ",\"client\":" + std::to_string(client_host) + ",";
+  };
+  const auto page = [&] {
+    return obs::debug_sessions_json(sim.obs().snapshot(), sim.obs().sessions());
+  };
+  const std::string edge_row = row("edge", edge_host, via_edge.session);
+  const std::string origin_row =
+      row("server", origin_host, via_origin.session);
+  std::string json = page();
+  EXPECT_NE(json.find(edge_row), std::string::npos) << json;
+  EXPECT_NE(json.find(origin_row), std::string::npos) << json;
+  EXPECT_NE(json.find("\"lod.edge.active_sessions\""), std::string::npos);
+  for (const obs::SessionRow& r : sim.obs().sessions()) {
+    EXPECT_GT(r.stats.packets_sent, 0u);
+    EXPECT_GT(r.stats.bytes_sent, r.stats.packets_sent);
+  }
+
+  // kStop takes the edge row off the page.
+  via_edge.send(via_edge.verb(Ctl::kStop));
+  sim.run_until(sim.now() + msec(100));
+  json = page();
+  EXPECT_EQ(json.find(edge_row), std::string::npos) << json;
+  EXPECT_NE(json.find(origin_row), std::string::npos) << json;
+
+  // A destroyed engine lists nothing, even with a session still open.
+  via_edge.play("lec");
+  sim.run_until(sim.now() + msec(100));
+  ASSERT_TRUE(listed(edge_host, via_edge.session));
+  edge.reset();
+  json = page();
+  EXPECT_EQ(json.find("\"role\":\"edge\""), std::string::npos) << json;
+  EXPECT_NE(json.find(origin_row), std::string::npos) << json;
 }
 
 // --- origin exit paths ------------------------------------------------------
@@ -322,6 +418,7 @@ TEST_F(OriginFixture, VerbsOnAStoppedSessionAreIgnored) {
   sim.run_until(SimTime{sec(2).us});
   ASSERT_EQ(server->active_sessions(), 0u);
   const std::size_t frames = c.frames.size();
+  const std::uint64_t repairs = server->metrics().repairs();
 
   c.send(c.verb(Ctl::kPause));
   c.seek(sec(5));
@@ -337,11 +434,8 @@ TEST_F(OriginFixture, VerbsOnAStoppedSessionAreIgnored) {
         obs::EventType::kRepairResend}) {
     EXPECT_TRUE(trace.events(type).empty());
   }
-  const auto stats = server->metrics().session(id);
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->seeks, 0u);
-  EXPECT_EQ(stats->pauses, 0u);
-  EXPECT_EQ(stats->repairs, 0u);
+  EXPECT_EQ(server->metrics().repairs(), repairs);
+  EXPECT_FALSE(server->metrics().session(id).has_value());
   EXPECT_EQ(c.frames.size(), frames);
 }
 

@@ -712,15 +712,15 @@ TEST_F(StreamFixture, ServerMetricsViewExposesRegistrySeries) {
   EXPECT_EQ(snap.counter("lod.server.packets_sent", at_server),
             m.packets_sent());
   EXPECT_EQ(snap.gauge("lod.server.active_sessions", at_server), 1);
-  EXPECT_EQ(snap.counter("lod.server.session.packets_sent",
-                         {{"host", std::to_string(server_host)},
-                          {"session", "1"}}),
+  // The only session sent every packet the server did.
+  EXPECT_EQ(snap.counter("lod.server.packets_sent", at_server),
             via_view->packets_sent);
 
   sim.run();
   p.stop();
   sim.run();
   EXPECT_EQ(m.active_sessions(), 0);
+  EXPECT_FALSE(m.session(1).has_value());  // ended sessions leave the table
 }
 
 TEST_F(StreamFixture, ServerConfigValidatesTunablesAndPorts) {
@@ -845,7 +845,7 @@ TEST_F(StreamFixture, SnapshotDeltaIsolatesOnePlayback) {
   EXPECT_EQ(delta.counter("lod.player.units_rendered", at_client),
             p.units_rendered());
   EXPECT_GT(delta.counter("lod.net.packets_delivered"), 0u);
-  EXPECT_GT(delta.total("lod.server.session.packets_sent"), 0u);
+  EXPECT_GT(delta.total("lod.server.packets_sent"), 0u);
   EXPECT_GT(delta.counter("lod.sim.events_fired"), 0u);
   const auto* startup =
       delta.histogram("lod.player.startup_us", at_client);
