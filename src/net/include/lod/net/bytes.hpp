@@ -47,7 +47,8 @@ class ByteWriter {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
 
-  /// Pre-size the buffer for \p n bytes in total; output is unchanged.
+  /// Pre-size the buffer for \p n bytes in total; output is unchanged. A
+  /// frame writer that knows its size up front allocates exactly once.
   void reserve(std::size_t n) { buf_.reserve(n); }
 
   std::size_t size() const { return buf_.size(); }
@@ -55,11 +56,15 @@ class ByteWriter {
   std::vector<std::byte> take() && { return std::move(buf_); }
 
  private:
+  /// One append per integer, so the buffer grows at most once per field
+  /// (not once per byte); a writer reserved to its frame size never does.
   template <typename T>
   void put_int(T v) {
+    std::byte le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+      le[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
     }
+    buf_.insert(buf_.end(), le, le + sizeof(T));
   }
   std::vector<std::byte> buf_;
 };

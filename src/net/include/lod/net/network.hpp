@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -164,13 +163,14 @@ class Network : public Transport {
   Rng& rng() { return rng_; }
 
  private:
+  static constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
+
   struct LinkDir {
     LinkConfig cfg;
     LinkStats stats;
     SimTime busy_until{};              ///< best-effort serializer
     std::size_t queued_bytes{0};       ///< bytes waiting for the serializer
     std::int64_t reserved_bps{0};      ///< sum of channel reservations
-    std::unordered_map<ChannelId, SimTime> channel_busy_until;
   };
   struct HostState {
     std::string name;
@@ -178,23 +178,50 @@ class Network : public Transport {
     std::unordered_map<Port, Receiver> ports;
     std::vector<HostId> neighbors;
   };
+  /// A reservation plus its serializer on each link direction it has
+  /// carried traffic over: (link, busy-until) pairs, the reserved path's
+  /// directions from the start. Paths are a few hops, so a scan finds one.
+  struct Channel {
+    ChannelReservation info;
+    std::vector<std::pair<std::uint32_t, SimTime>> busy_until;
+    SimTime& busy(std::uint32_t link);
+  };
+  /// A path's hosts and the link direction of each hop (`links[i]` carries
+  /// hosts[i] -> hosts[i + 1]), so forwarding indexes `links_` directly.
+  struct Route {
+    std::vector<HostId> hosts;
+    std::vector<std::uint32_t> links;
+  };
+  using Path = std::shared_ptr<const Route>;
+  /// One datagram in flight, from `send` to delivery or drop, in the hop
+  /// slab: arrival events capture {this, slot} only. Loopback sends have no
+  /// path and no link.
+  struct Hop {
+    Packet p;
+    Path path;
+    std::uint32_t hop_index{0};
+    std::uint32_t link{kNoLink};  ///< the direction being crossed
+    std::uint32_t wire{0};
+    bool best_effort{true};       ///< holds queue bytes on `link`
+  };
 
-  static std::uint64_t dir_key(HostId from, HostId to) {
-    return (static_cast<std::uint64_t>(from) << 32) | to;
+  std::size_t pair_index(HostId a, HostId b) const {
+    return std::size_t{a} * stride_ + b;
   }
-
   LinkDir* find_dir(HostId from, HostId to);
   const LinkDir* find_dir(HostId from, HostId to) const;
 
-  using Path = std::shared_ptr<const std::vector<HostId>>;
   /// The route-table entry for a != b, both known hosts (filled on first
   /// use). Packets in flight share it, so a table cleared by `add_link`
   /// leaves their paths intact.
   const Path& cached_route(HostId a, HostId b) const;
   std::vector<HostId> bfs_route(HostId a, HostId b) const;
 
-  /// Schedule the hop from `from` to `to`, then recurse along the path.
-  void forward(Packet p, std::size_t hop_index, Path path);
+  std::uint32_t alloc_hop(Packet p, Path path);
+  /// Cross the hop `hops_[slot]` is at: loss, queueing, serialization,
+  /// then an arrival event. Frees the slot when the datagram is dropped.
+  void forward(std::uint32_t slot);
+  void arrive(std::uint32_t slot);
   void deliver(const Packet& p);
 
   Simulator& sim_;
@@ -206,10 +233,17 @@ class Network : public Transport {
   obs::Counter packets_dropped_queue_;
   obs::Counter bytes_sent_;
   std::vector<HostState> hosts_;
-  std::unordered_map<std::uint64_t, LinkDir> links_;
-  /// Full-path route table keyed by dir_key(src, dst).
-  mutable std::unordered_map<std::uint64_t, Path> routes_;
-  std::unordered_map<ChannelId, ChannelReservation> channels_;
+  /// Link directions; an index stays valid for the network's lifetime.
+  std::vector<LinkDir> links_;
+  /// Dense host-pair tables, `stride_` hosts per row (grown by doubling in
+  /// `add_host`): the link direction index (kNoLink if none) and the route
+  /// table (null until first used, cleared by `add_link`).
+  std::size_t stride_{0};
+  std::vector<std::uint32_t> link_index_;
+  mutable std::vector<Path> routes_;
+  std::vector<Hop> hops_;
+  std::vector<std::uint32_t> free_hops_;  ///< recycled hop slots, LIFO
+  std::unordered_map<ChannelId, Channel> channels_;
   ChannelId next_channel_{1};
   std::uint64_t next_packet_{1};
 };

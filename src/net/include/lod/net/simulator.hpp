@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "lod/net/task.hpp"
 #include "lod/net/time.hpp"
 #include "lod/net/timing_wheel.hpp"
 #include "lod/obs/hub.hpp"
@@ -33,7 +33,9 @@ using EventId = std::uint64_t;
 /// events run after the current handler returns, in insertion order).
 class Simulator {
  public:
-  using Handler = std::function<void()>;
+  /// Captures of up to `Task::kInlineBytes` live in the handler slab cell:
+  /// scheduling and firing them allocates nothing.
+  using Handler = Task;
 
   Simulator();
   Simulator(const Simulator&) = delete;
@@ -79,10 +81,11 @@ class Simulator {
 
  private:
   /// One slab cell per in-flight handler. Wheel items stay trivially
-  /// copyable (they are re-placed on every cascade); the handler is moved
-  /// exactly twice — into its cell at schedule, out at fire. The generation
-  /// counter makes stale ids (fired or cancelled, slot since reused) miss:
-  /// an id only resolves while its generation matches the cell's.
+  /// copyable (they are re-placed on every cascade); the handler, capture
+  /// inline, is moved exactly twice — into its cell at schedule, out at
+  /// fire. The generation counter makes stale ids (fired or cancelled, slot
+  /// since reused) miss: an id only resolves while its generation matches
+  /// the cell's.
   struct Cell {
     Handler h;
     std::uint32_t gen{1};

@@ -43,8 +43,8 @@ namespace lod::net {
 class TimingWheel {
  public:
   /// Deliberately trivially copyable: items are re-placed on every cascade,
-  /// so any non-trivial payload (e.g. a std::function handler) would pay an
-  /// indirect manager call per move. Callers keep payloads in a side table
+  /// so any non-trivial payload (e.g. a type-erased handler) would pay an
+  /// indirect call per move. Callers keep payloads in a side table
   /// keyed by `id` (the Simulator uses a slot/generation slab).
   struct Item {
     std::int64_t at{0};    ///< absolute microseconds
@@ -57,6 +57,10 @@ class TimingWheel {
   static constexpr int kSlots = 1 << kSlotBits;  // 256
   static constexpr std::int64_t kHorizon = std::int64_t{1}
                                            << (kLevels * kSlotBits);  // 2^32 us
+  /// A cascaded bucket keeps storage for up to this many items. Keeping all
+  /// of it instead raised perfbench's peak RSS by about a tenth on `steady`
+  /// and a third on `overload` (docs/PERFORMANCE.md §3).
+  static constexpr std::size_t kKeepCapacity = 64;
 
   /// Cursor: the wheel's notion of "now". Monotonically non-decreasing.
   std::int64_t now() const { return cur_; }
@@ -255,14 +259,23 @@ class TimingWheel {
     }
   }
 
+  /// Re-place a crossed slot's items relative to the new cursor. They
+  /// share every field at and above \p level with the cursor now, so each
+  /// lands strictly below \p level (or in ready_): the bucket is never
+  /// appended to while it is walked, and is walked in place. A small bucket
+  /// keeps its storage for the next lap round the wheel; a burst's storage
+  /// is freed, so one spike does not pin its peak in every slot it crossed.
   void cascade(int level, int slot) {
     auto& bucket =
         slots_[static_cast<std::size_t>(level)][static_cast<std::size_t>(slot)];
     if (bucket.empty()) return;
     bit_clear(bits_[static_cast<std::size_t>(level)], slot);
-    std::vector<Item> moving;
-    moving.swap(bucket);
-    for (Item& it : moving) place(std::move(it));
+    for (const Item& it : bucket) place(it);
+    if (bucket.capacity() <= kKeepCapacity) {
+      bucket.clear();
+    } else {
+      std::vector<Item>().swap(bucket);
+    }
   }
 
   void refill_far() {

@@ -122,10 +122,34 @@ class ReliableEndpoint {
       return (static_cast<std::size_t>(k.host) << 16) ^ k.port;
     }
   };
+  /// Per-peer send state. Messages in flight are a ring over the seqs
+  /// [base, next_seq), seq at offset `seq - base` from `head`. An ACK marks
+  /// its range done and the ring drops its done prefix, so normally
+  /// base == acked_upto and the ring holds exactly the unacknowledged
+  /// messages, in storage reused for the whole conversation.
   struct TxState {
+    struct Slot {
+      Payload msg;
+      bool live{false};
+    };
     std::uint64_t next_seq{0};
     std::uint64_t acked_upto{0};  ///< all seq < this are acknowledged
-    std::unordered_map<std::uint64_t, Payload> inflight;
+    std::uint64_t base{0};        ///< seq held by ring[head]
+    std::vector<Slot> ring;       ///< size a power of two (or empty)
+    std::size_t head{0};          ///< ring position of `base`
+
+    /// The message for \p seq while it is still unacknowledged, else null.
+    const Payload* inflight(std::uint64_t seq) const;
+    void push(Payload msg);
+    /// Acknowledge every seq in [acked_upto, upto) that has been sent.
+    void ack(std::uint64_t upto);
+    bool empty() const { return base == next_seq; }
+
+   private:
+    /// Ring position of \p seq; valid for base <= seq < base + ring.size().
+    std::size_t index(std::uint64_t seq) const {
+      return (head + (seq - base)) & (ring.size() - 1);
+    }
   };
   struct RxState {
     std::uint64_t peer_incarnation{0};
@@ -134,9 +158,10 @@ class ReliableEndpoint {
   };
 
   void handle_packet(const Datagram& p);
-  void transmit(const PeerKey& peer, std::uint64_t seq);
+  void transmit(const PeerKey& peer, std::uint64_t seq, const Payload& msg);
   void arm_retransmit(const PeerKey& peer, std::uint64_t seq, int tries_left);
-  void send_ack(const PeerKey& peer, std::uint64_t ack_upto);
+  void send_ack(const PeerKey& peer, std::uint64_t peer_incarnation,
+                std::uint64_t ack_upto);
 
   /// This endpoint's incarnation (unique per constructed endpoint).
   const std::uint64_t incarnation_;

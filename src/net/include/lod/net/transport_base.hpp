@@ -9,6 +9,7 @@
 
 #include "lod/net/clock.hpp"
 #include "lod/net/payload.hpp"
+#include "lod/net/task.hpp"
 #include "lod/net/time.hpp"
 #include "lod/obs/hub.hpp"
 
@@ -82,7 +83,9 @@ bool is_valid_ipv4(std::string_view s);
 class Transport {
  public:
   using Receiver = std::function<void(const Datagram&)>;
-  using TimerFn = std::function<void()>;
+  /// Move-only with inline capture storage (task.hpp); the simulator
+  /// stores it as is in its handler slab.
+  using TimerFn = Task;
 
   virtual ~Transport() = default;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <stdexcept>
+#include <utility>
 
 namespace lod::net {
 
@@ -19,6 +20,21 @@ Network::Network(Simulator& sim, std::uint64_t seed) : sim_(sim), rng_(seed) {
 HostId Network::add_host(std::string name, HostClock clock) {
   const HostId id = static_cast<HostId>(hosts_.size());
   hosts_.push_back(HostState{std::move(name), clock, {}, {}});
+  if (hosts_.size() > stride_) {
+    // Regrow the pair tables; in-flight packets hold their own paths.
+    const std::size_t old = stride_;
+    stride_ = std::max<std::size_t>(16, 2 * stride_);
+    std::vector<std::uint32_t> links(stride_ * stride_, kNoLink);
+    std::vector<Path> routes(stride_ * stride_);
+    for (std::size_t i = 0; i < old; ++i) {
+      for (std::size_t j = 0; j < old; ++j) {
+        links[i * stride_ + j] = link_index_[i * old + j];
+        routes[i * stride_ + j] = std::move(routes_[i * old + j]);
+      }
+    }
+    link_index_ = std::move(links);
+    routes_ = std::move(routes);
+  }
   return id;
 }
 
@@ -26,13 +42,19 @@ void Network::add_link(HostId a, HostId b, const LinkConfig& cfg) {
   if (a >= hosts_.size() || b >= hosts_.size() || a == b) {
     throw std::invalid_argument("add_link: bad endpoints");
   }
-  links_[dir_key(a, b)] = LinkDir{cfg, {}, {}, 0, 0, {}};
-  links_[dir_key(b, a)] = LinkDir{cfg, {}, {}, 0, 0, {}};
+  for (const std::size_t i : {pair_index(a, b), pair_index(b, a)}) {
+    if (link_index_[i] == kNoLink) {
+      link_index_[i] = static_cast<std::uint32_t>(links_.size());
+      links_.emplace_back();
+    }
+    links_[link_index_[i]] = LinkDir{cfg, {}, {}, 0, 0};
+  }
   auto& na = hosts_[a].neighbors;
   if (std::find(na.begin(), na.end(), b) == na.end()) na.push_back(b);
   auto& nb = hosts_[b].neighbors;
   if (std::find(nb.begin(), nb.end(), a) == nb.end()) nb.push_back(a);
-  routes_.clear();  // a new link can shorten any path
+  // A new link can shorten any path.
+  std::fill(routes_.begin(), routes_.end(), nullptr);
 }
 
 void Network::set_link_config(HostId from, HostId to, const LinkConfig& cfg) {
@@ -42,12 +64,12 @@ void Network::set_link_config(HostId from, HostId to, const LinkConfig& cfg) {
 }
 
 Network::LinkDir* Network::find_dir(HostId from, HostId to) {
-  auto it = links_.find(dir_key(from, to));
-  return it == links_.end() ? nullptr : &it->second;
+  return const_cast<LinkDir*>(std::as_const(*this).find_dir(from, to));
 }
 const Network::LinkDir* Network::find_dir(HostId from, HostId to) const {
-  auto it = links_.find(dir_key(from, to));
-  return it == links_.end() ? nullptr : &it->second;
+  if (from >= hosts_.size() || to >= hosts_.size()) return nullptr;
+  const std::uint32_t i = link_index_[pair_index(from, to)];
+  return i == kNoLink ? nullptr : &links_[i];
 }
 
 void Network::bind(HostId h, Port port, Receiver r) {
@@ -59,13 +81,18 @@ void Network::unbind(HostId h, Port port) { hosts_.at(h).ports.erase(port); }
 std::vector<HostId> Network::route(HostId a, HostId b) const {
   if (a >= hosts_.size() || b >= hosts_.size()) return {};
   if (a == b) return {a};
-  return *cached_route(a, b);
+  return cached_route(a, b)->hosts;
 }
 
 const Network::Path& Network::cached_route(HostId a, HostId b) const {
-  Path& slot = routes_[dir_key(a, b)];
+  Path& slot = routes_[pair_index(a, b)];
   if (!slot) {
-    slot = std::make_shared<const std::vector<HostId>>(bfs_route(a, b));
+    Route r;
+    r.hosts = bfs_route(a, b);
+    for (std::size_t i = 0; i + 1 < r.hosts.size(); ++i) {
+      r.links.push_back(link_index_[pair_index(r.hosts[i], r.hosts[i + 1])]);
+    }
+    slot = std::make_shared<const Route>(std::move(r));
   }
   return slot;
 }
@@ -99,14 +126,10 @@ std::vector<HostId> Network::bfs_route(HostId a, HostId b) const {
 SimDuration Network::path_latency(HostId a, HostId b) const {
   if (a == b) return SimDuration{0};
   if (a >= hosts_.size() || b >= hosts_.size()) return SimDuration{-1};
-  const auto& path = *cached_route(a, b);
-  if (path.size() < 2) return SimDuration{-1};
+  const Route& r = *cached_route(a, b);
+  if (r.links.empty()) return SimDuration{-1};
   SimDuration total{0};
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const LinkDir* d = find_dir(path[i], path[i + 1]);
-    if (!d) return SimDuration{-1};
-    total += d->cfg.latency;
-  }
+  for (const std::uint32_t link : r.links) total += links_[link].cfg.latency;
   return total;
 }
 
@@ -121,22 +144,41 @@ bool Network::send(Packet p) {
   }
   if (p.src == p.dst) {
     // Loopback: deliver after the current handler unwinds, keeping the
-    // "receive is always asynchronous" invariant callers rely on. Move the
-    // packet in — refcounted payloads make this pointer-cheap.
-    sim_.schedule_after(usec(0), [this, p = std::move(p)] { deliver(p); });
+    // "receive is always asynchronous" invariant callers rely on.
+    const std::uint32_t slot = alloc_hop(std::move(p), nullptr);
+    sim_.schedule_after(usec(0), [this, slot] { arrive(slot); });
     return true;
   }
-  Path path = cached_route(p.src, p.dst);
-  if (path->size() < 2) return false;
-  forward(std::move(p), 0, std::move(path));
+  const Path& path = cached_route(p.src, p.dst);
+  if (path->links.empty()) return false;
+  forward(alloc_hop(std::move(p), path));
   return true;
 }
 
-void Network::forward(Packet p, std::size_t hop_index, Path path) {
-  const HostId from = (*path)[hop_index];
-  const HostId to = (*path)[hop_index + 1];
-  LinkDir* dir = find_dir(from, to);
-  if (!dir) return;  // topology changed under us; drop
+std::uint32_t Network::alloc_hop(Packet p, Path path) {
+  std::uint32_t slot;
+  if (!free_hops_.empty()) {
+    slot = free_hops_.back();
+    free_hops_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(hops_.size());
+    hops_.emplace_back();
+  }
+  Hop& h = hops_[slot];
+  h.p = std::move(p);
+  h.path = std::move(path);
+  h.hop_index = 0;
+  h.link = kNoLink;
+  return slot;
+}
+
+void Network::forward(std::uint32_t slot) {
+  Hop& h = hops_[slot];
+  const Packet& p = h.p;
+  const HostId from = h.path->hosts[h.hop_index];
+  const HostId to = h.path->hosts[h.hop_index + 1];
+  h.link = h.path->links[h.hop_index];
+  LinkDir* dir = &links_[h.link];
 
   // Loss is drawn per hop, before queueing (wire loss, not buffer loss).
   if (rng_.bernoulli(dir->cfg.loss_rate)) {
@@ -149,18 +191,22 @@ void Network::forward(Packet p, std::size_t hop_index, Path path) {
       trace_->emit(obs::EventType::kPacketDropLoss, from,
                    static_cast<std::int64_t>(p.id), to);
     }
+    h = Hop{};
+    free_hops_.push_back(slot);
     return;
   }
 
   const SimTime now = sim_.now();
   SimTime depart;
-  if (p.channel != 0 && channels_.count(p.channel)) {
+  auto ch = p.channel != 0 ? channels_.find(p.channel) : channels_.end();
+  h.best_effort = ch == channels_.end();
+  if (!h.best_effort) {
     // Reserved-rate serialization: the channel has its own serializer slice
     // and never competes with best-effort traffic.
-    const auto& res = channels_.at(p.channel);
-    SimTime& busy = dir->channel_busy_until[p.channel];
+    SimTime& busy = ch->second.busy(h.link);
     const SimTime start = std::max(now, busy);
-    const std::int64_t bps = std::max<std::int64_t>(res.rate_bps, 1);
+    const std::int64_t bps =
+        std::max<std::int64_t>(ch->second.info.rate_bps, 1);
     const SimDuration tx{static_cast<std::int64_t>(p.wire_size) * 8'000'000 /
                          bps};
     busy = start + tx;
@@ -177,6 +223,8 @@ void Network::forward(Packet p, std::size_t hop_index, Path path) {
         trace_->emit(obs::EventType::kPacketDropQueue, from,
                      static_cast<std::int64_t>(p.id), to);
       }
+      h = Hop{};
+      free_hops_.push_back(slot);
       return;
     }
     const std::int64_t bps =
@@ -192,29 +240,35 @@ void Network::forward(Packet p, std::size_t hop_index, Path path) {
 
   ++dir->stats.packets_sent;
   dir->stats.bytes_sent += p.wire_size;
+  h.wire = p.wire_size;
 
   const SimDuration jit = rng_.jitter(dir->cfg.jitter);
-  SimTime arrive = depart + dir->cfg.latency + jit;
+  SimTime arrive_at = depart + dir->cfg.latency + jit;
   // Jitter models queueing variance beyond the propagation floor: a packet
   // can be late, never faster than light.
-  if (arrive < depart + dir->cfg.latency) arrive = depart + dir->cfg.latency;
+  if (arrive_at < depart + dir->cfg.latency) {
+    arrive_at = depart + dir->cfg.latency;
+  }
+  sim_.schedule_at(arrive_at, [this, slot] { arrive(slot); });
+}
 
-  const std::uint32_t wire = p.wire_size;
-  const bool best_effort = (p.channel == 0 || !channels_.count(p.channel));
-  sim_.schedule_at(
-      arrive, [this, p = std::move(p), hop_index, path = std::move(path), from,
-               to, wire, best_effort]() mutable {
-        if (best_effort) {
-          if (LinkDir* d = find_dir(from, to)) {
-            d->queued_bytes -= std::min<std::size_t>(d->queued_bytes, wire);
-          }
-        }
-        if (hop_index + 2 >= path->size()) {
-          deliver(p);
-        } else {
-          forward(std::move(p), hop_index + 1, std::move(path));
-        }
-      });
+void Network::arrive(std::uint32_t slot) {
+  Hop& h = hops_[slot];
+  if (h.link != kNoLink && h.best_effort) {
+    LinkDir& d = links_[h.link];
+    d.queued_bytes -= std::min<std::size_t>(d.queued_bytes, h.wire);
+  }
+  if (h.path && h.hop_index + 2 < h.path->hosts.size()) {
+    ++h.hop_index;
+    forward(slot);
+    return;
+  }
+  // Free the slot before delivering: the receiver may send, and a send can
+  // grow the slab under a live reference.
+  const Packet p = std::move(h.p);
+  h = Hop{};
+  free_hops_.push_back(slot);
+  deliver(p);
 }
 
 void Network::deliver(const Packet& p) {
@@ -234,36 +288,43 @@ std::optional<ChannelId> Network::reserve_channel(HostId src, HostId dst,
   if (src >= hosts_.size() || dst >= hosts_.size() || src == dst) {
     return std::nullopt;
   }
-  const auto& path = *cached_route(src, dst);
+  const Route& route = *cached_route(src, dst);
+  const std::vector<HostId>& path = route.hosts;
   if (path.size() < 2) return std::nullopt;
   // Admission control: every on-path direction must have spare capacity.
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const LinkDir* d = find_dir(path[i], path[i + 1]);
-    if (!d || d->reserved_bps + rate_bps > d->cfg.bandwidth_bps) {
-      return std::nullopt;
-    }
+  for (const std::uint32_t link : route.links) {
+    const LinkDir& d = links_[link];
+    if (d.reserved_bps + rate_bps > d.cfg.bandwidth_bps) return std::nullopt;
   }
-  ChannelReservation res;
+  Channel ch;
+  ChannelReservation& res = ch.info;
   res.id = next_channel_++;
   res.src = src;
   res.dst = dst;
   res.rate_bps = rate_bps;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    find_dir(path[i], path[i + 1])->reserved_bps += rate_bps;
+    links_[route.links[i]].reserved_bps += rate_bps;
     res.path.emplace_back(path[i], path[i + 1]);
+    ch.busy_until.emplace_back(route.links[i], SimTime{});
   }
-  channels_.emplace(res.id, res);
-  return res.id;
+  const ChannelId id = res.id;
+  channels_.emplace(id, std::move(ch));
+  return id;
+}
+
+SimTime& Network::Channel::busy(std::uint32_t link) {
+  for (auto& [l, t] : busy_until) {
+    if (l == link) return t;
+  }
+  return busy_until.emplace_back(link, SimTime{}).second;
 }
 
 void Network::release_channel(ChannelId id) {
   auto it = channels_.find(id);
   if (it == channels_.end()) return;
-  for (auto [from, to] : it->second.path) {
-    if (LinkDir* d = find_dir(from, to)) {
-      d->reserved_bps -= it->second.rate_bps;
-      d->channel_busy_until.erase(id);
-    }
+  const ChannelReservation& res = it->second.info;
+  for (auto [from, to] : res.path) {
+    if (LinkDir* d = find_dir(from, to)) d->reserved_bps -= res.rate_bps;
   }
   channels_.erase(it);
 }
@@ -271,29 +332,28 @@ void Network::release_channel(ChannelId id) {
 bool Network::resize_channel(ChannelId id, std::int64_t new_rate_bps) {
   auto it = channels_.find(id);
   if (it == channels_.end() || new_rate_bps <= 0) return false;
-  const std::int64_t delta = new_rate_bps - it->second.rate_bps;
+  ChannelReservation& res = it->second.info;
+  const std::int64_t delta = new_rate_bps - res.rate_bps;
   if (delta > 0) {
-    for (auto [from, to] : it->second.path) {
+    for (auto [from, to] : res.path) {
       const LinkDir* d = find_dir(from, to);
       if (!d || d->reserved_bps + delta > d->cfg.bandwidth_bps) return false;
     }
   }
-  for (auto [from, to] : it->second.path) {
-    find_dir(from, to)->reserved_bps += delta;
-  }
-  it->second.rate_bps = new_rate_bps;
+  for (auto [from, to] : res.path) find_dir(from, to)->reserved_bps += delta;
+  res.rate_bps = new_rate_bps;
   return true;
 }
 
 std::optional<ChannelReservation> Network::channel_info(ChannelId id) const {
   auto it = channels_.find(id);
   if (it == channels_.end()) return std::nullopt;
-  return it->second;
+  return it->second.info;
 }
 
 std::int64_t Network::channel_rate_bps(ChannelId id) const {
   auto it = channels_.find(id);
-  return it == channels_.end() ? 0 : it->second.rate_bps;
+  return it == channels_.end() ? 0 : it->second.info.rate_bps;
 }
 
 std::optional<HostId> Network::find_endpoint(std::string_view name) const {

@@ -1,11 +1,16 @@
 #include "lod/net/transport.hpp"
 
+#include <algorithm>
+
 namespace lod::net {
 
 namespace {
 // Wire tags for ReliableEndpoint frames.
 constexpr std::uint8_t kData = 1;
 constexpr std::uint8_t kAck = 2;
+// Both frames are tag + incarnation + seq (or cumulative ACK).
+constexpr std::size_t kDataHeaderBytes = 1 + 8 + 8;
+constexpr std::size_t kAckHeaderBytes = 1 + 8 + 8;
 
 /// Incarnation source. thread_local, not global: each simulation shard runs
 /// on its own thread (see net::ShardedRunner), and a process-wide counter
@@ -83,24 +88,56 @@ ReliableEndpoint::~ReliableEndpoint() {
   net_.unbind(host_, port_);
 }
 
+const Payload* ReliableEndpoint::TxState::inflight(std::uint64_t seq) const {
+  if (seq < base || seq >= next_seq) return nullptr;
+  const Slot& s = ring[index(seq)];
+  return s.live ? &s.msg : nullptr;
+}
+
+void ReliableEndpoint::TxState::push(Payload msg) {
+  const std::size_t count = next_seq - base;
+  if (count == ring.size()) {
+    std::vector<Slot> grown(std::max<std::size_t>(1, 2 * ring.size()));
+    for (std::size_t i = 0; i < count; ++i) {
+      grown[i] = std::move(ring[index(base + i)]);
+    }
+    ring = std::move(grown);
+    head = 0;
+  }
+  ring[index(next_seq++)] = Slot{std::move(msg), true};
+}
+
+void ReliableEndpoint::TxState::ack(std::uint64_t upto) {
+  if (upto <= acked_upto) return;
+  for (std::uint64_t s = std::max(acked_upto, base);
+       s < std::min(upto, next_seq); ++s) {
+    ring[index(s)] = Slot{};
+  }
+  acked_upto = upto;
+  // Seqs sent after an ACK already covered them stay live: only a done
+  // prefix leaves the ring.
+  while (base < next_seq && !ring[head].live) {
+    head = (head + 1) & (ring.size() - 1);
+    ++base;
+  }
+}
+
 void ReliableEndpoint::send_to(HostId dst, Port dst_port, Payload payload) {
   const PeerKey peer{dst, dst_port};
   TxState& tx = tx_[peer];
-  const std::uint64_t seq = tx.next_seq++;
-  tx.inflight.emplace(seq, std::move(payload));
+  const std::uint64_t seq = tx.next_seq;
+  tx.push(std::move(payload));
   messages_sent_.inc();
-  transmit(peer, seq);
+  transmit(peer, seq, *tx.inflight(seq));
   arm_retransmit(peer, seq, max_retries_);
 }
 
-void ReliableEndpoint::transmit(const PeerKey& peer, std::uint64_t seq) {
-  const TxState& tx = tx_.at(peer);
-  auto it = tx.inflight.find(seq);
-  if (it == tx.inflight.end()) return;  // already acked
-
+void ReliableEndpoint::transmit(const PeerKey& peer, std::uint64_t seq,
+                                const Payload& msg) {
   // Per-transmit frame header only; the message bytes ride as a shared body
   // attachment, so retransmissions re-send the same buffer copy-free.
   ByteWriter w;
+  w.reserve(kDataHeaderBytes);
   w.u8(kData);
   w.u64(incarnation_);
   w.u64(seq);
@@ -111,7 +148,7 @@ void ReliableEndpoint::transmit(const PeerKey& peer, std::uint64_t seq) {
   p.src_port = port_;
   p.dst_port = peer.port;
   p.payload = std::move(w).take();
-  p.body = it->second;
+  p.body = msg;
   p.wire_size = static_cast<std::uint32_t>(p.payload.size() + p.body.size()) +
                 kSegmentOverhead;
   net_.send(std::move(p));
@@ -124,22 +161,27 @@ void ReliableEndpoint::arm_retransmit(const PeerKey& peer, std::uint64_t seq,
       rto_, [this, alive = alive_, peer, seq, tries_left] {
         if (!*alive) return;
         auto it = tx_.find(peer);
-        if (it == tx_.end() || !it->second.inflight.count(seq)) return;
+        if (it == tx_.end()) return;
+        const Payload* msg = it->second.inflight(seq);
+        if (!msg) return;
         ++retransmissions_;
         retransmissions_metric_.inc();
         if (trace_->enabled()) {
           trace_->emit(obs::EventType::kMsgRetransmit, host_,
                        static_cast<std::int64_t>(seq), peer.host);
         }
-        transmit(peer, seq);
+        transmit(peer, seq, *msg);
         arm_retransmit(peer, seq, tries_left - 1);
       });
 }
 
-void ReliableEndpoint::send_ack(const PeerKey& peer, std::uint64_t ack_upto) {
+void ReliableEndpoint::send_ack(const PeerKey& peer,
+                                std::uint64_t peer_incarnation,
+                                std::uint64_t ack_upto) {
   ByteWriter w;
+  w.reserve(kAckHeaderBytes);
   w.u8(kAck);
-  w.u64(rx_[peer].peer_incarnation);  // which incarnation this ACK answers
+  w.u64(peer_incarnation);  // which incarnation this ACK answers
   w.u64(ack_upto);
   Datagram p;
   p.src = host_;
@@ -159,12 +201,7 @@ void ReliableEndpoint::handle_packet(const Datagram& p) {
   if (tag == kAck) {
     const std::uint64_t for_incarnation = r.u64();
     if (for_incarnation != incarnation_) return;  // stale ACK for a past self
-    const std::uint64_t upto = r.u64();
-    TxState& tx = tx_[peer];
-    if (upto > tx.acked_upto) {
-      for (std::uint64_t s = tx.acked_upto; s < upto; ++s) tx.inflight.erase(s);
-      tx.acked_upto = upto;
-    }
+    tx_[peer].ack(r.u64());
     return;
   }
 
@@ -209,12 +246,12 @@ void ReliableEndpoint::handle_packet(const Datagram& p) {
     rx.out_of_order.emplace(seq, std::move(msg));  // no-op on duplicates
   }
   // Cumulative ACK (also re-ACKs duplicates so the sender can stop retrying).
-  send_ack(peer, rx.next_expected);
+  send_ack(peer, rx.peer_incarnation, rx.next_expected);
 }
 
 bool ReliableEndpoint::all_acked() const {
   for (const auto& [peer, tx] : tx_) {
-    if (!tx.inflight.empty()) return false;
+    if (!tx.empty()) return false;
   }
   return true;
 }
@@ -253,6 +290,7 @@ void RpcServer::dispatch(const ReliableEndpoint::Message& m) {
   auto [status, resp_body] = handle(path, body);
 
   ByteWriter w;
+  w.reserve(1 + 8 + 4 + 4 + resp_body.size());
   w.u8(kRpcResponse);
   w.u64(req_id);
   w.u32(static_cast<std::uint32_t>(status));
@@ -303,6 +341,7 @@ void RpcClient::call(HostId server, Port server_port, std::string_view path,
   }
   pending_.emplace(id, std::move(p));
   ByteWriter w;
+  w.reserve(1 + 8 + 4 + path.size() + 4 + body.size());
   w.u8(kRpcRequest);
   w.u64(id);
   w.str(path);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "lod/net/bytes.hpp"
@@ -56,6 +57,8 @@ inline constexpr net::Port kWebPort = 80;        // slide/web server RPC
 /// identifies the file packet (repair requests + dedup — a repaired packet
 /// arrives with a fresh seq but the same index).
 inline constexpr std::uint32_t kDataMagic = 0x4c4f4444;  // "LODD"
+/// Bytes of the data header before the blob (4 + 8 + 4 + 8 + 4).
+inline constexpr std::size_t kDataHeaderBytes = 28;
 
 /// Live session migration (LODR RPC `/edge/migrate`, served by replicas at
 /// `control_port + kMigratePortOffset`). A player abandoning a dead site

@@ -991,8 +991,8 @@ void Player::arm_render_timer() {
   net::SimTime due = unit_due(buffer_.front().pts);
   const net::SimTime now = net_.now();
   if (due < now) due = now;
-  render_timer_ = net_.schedule_at(due, [this, alive = alive_] {
-    if (!*alive) return;
+  // `this` alone: ~Player cancels render_timer_, so it never fires late.
+  render_timer_ = net_.schedule_at(due, [this] {
     render_timer_.reset();
     render_due();
   });

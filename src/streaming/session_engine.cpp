@@ -368,6 +368,7 @@ void SessionEngine::send_packet(Session& s, const net::Payload& bytes,
   // body, so unicast fan-out, repairs and live broadcast all reuse the
   // same encoded bytes.
   ByteWriter w;
+  w.reserve(proto::kDataHeaderBytes);
   w.u32(proto::kDataMagic);
   w.u64(s.id);
   w.u32(s.epoch);

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "lod/net/clock.hpp"
 #include "lod/net/rng.hpp"
+#include "lod/net/task.hpp"
 
 namespace lod::net {
 namespace {
@@ -451,6 +454,151 @@ TEST(TimingWheel, HandlersScheduleAtCurrentInstantAfterCascade) {
   sim.run();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now().us, 100'001);
+}
+
+TEST(TimingWheel, SameSlotBurstCascadesInOrderLapAfterLap) {
+  // 10k events in ONE level-1 slot (a burst far above the cascade's
+  // keep-capacity cap) with colliding times, then a small batch in the same
+  // slot one lap later, when the burst's storage was freed, and a burst
+  // again. Every lap must fire in stable (time, insertion) order.
+  Simulator sim;
+  std::mt19937 rng(7);
+  std::vector<std::int64_t> at;
+  std::vector<int> fired;
+  const std::int64_t lap = std::int64_t{1} << 16;  // one level-1 revolution
+  const std::array<int, 3> sizes{10'000, 10, 10'000};
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    const int n = sizes[k];
+    at.clear();
+    fired.clear();
+    // Level-1 slot 0x42 of lap k: 256 distinct times, most of them shared.
+    const std::int64_t slot_start = static_cast<std::int64_t>(k) * lap + 0x4200;
+    for (int i = 0; i < n; ++i) {
+      at.push_back(slot_start + static_cast<std::int64_t>(rng() % 256));
+      sim.schedule_at(SimTime{at.back()}, [&fired, i] { fired.push_back(i); });
+    }
+    EXPECT_EQ(sim.run(), static_cast<std::size_t>(n));
+    std::vector<int> expect(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) expect[static_cast<std::size_t>(i)] = i;
+    std::stable_sort(expect.begin(), expect.end(),
+                     [&](int x, int y) { return at[x] < at[y]; });
+    EXPECT_EQ(fired, expect) << "burst of " << n;
+    sim.run_until(SimTime{static_cast<std::int64_t>(k + 1) * lap});
+  }
+}
+
+// --- Task: the handler type ------------------------------------------------
+
+/// Counts destructions of live (not moved-from) instances.
+struct DtorProbe {
+  explicit DtorProbe(int* count) : count(count) {}
+  DtorProbe(DtorProbe&& o) noexcept : count(o.count) { o.count = nullptr; }
+  DtorProbe& operator=(DtorProbe&&) = delete;
+  ~DtorProbe() {
+    if (count) ++*count;
+  }
+  int* count;
+};
+
+TEST(Task, MoveOnlyCaptureRunsAndMoves) {
+  auto owned = std::make_unique<int>(41);
+  int seen = 0;
+  Task t = [p = std::move(owned), &seen] { seen = ++*p; };
+  Task moved = std::move(t);
+  EXPECT_FALSE(t);
+  ASSERT_TRUE(moved);
+  moved();
+  EXPECT_EQ(seen, 42);
+
+  Simulator sim;
+  auto token = std::make_unique<int>(7);
+  sim.schedule_after(usec(1), [p = std::move(token), &seen] { seen = *p; });
+  sim.run();
+  EXPECT_EQ(seen, 7);
+}
+
+TEST(Task, OversizeCaptureTakesTheHeapFallback) {
+  std::array<std::uint64_t, 16> big{};  // 128 bytes: over the inline limit
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = i + 1;
+  std::uint64_t sum = 0;
+  auto fn = [big, &sum] {
+    for (auto v : big) sum += v;
+  };
+  static_assert(!Task::fits_inline<decltype(fn)>());
+  auto small = [&sum] { ++sum; };
+  static_assert(Task::fits_inline<decltype(small)>());
+
+  Task t = fn;
+  Task moved = std::move(t);
+  moved();
+  EXPECT_EQ(sum, 136u);
+
+  Simulator sim;
+  sim.schedule_after(usec(3), fn);
+  sim.run();
+  EXPECT_EQ(sum, 272u);
+}
+
+TEST(Task, CaptureDestroyedExactlyOnceOnFireCancelAndTeardown) {
+  // Inline and heap-fallback captures alike: the capture dies exactly once
+  // whether the event fires, is cancelled, or is still pending when the
+  // simulator goes away -- and a shared token is released every time.
+  for (const bool oversize : {false, true}) {
+    SCOPED_TRACE(oversize ? "heap fallback" : "inline");
+    auto token = std::make_shared<int>(0);
+    int fired_dtors = 0;
+    int cancelled_dtors = 0;
+    int torn_down_dtors = 0;
+    std::array<char, 64> pad{};
+    const auto make = [&](int* dtors) -> Task {
+      if (oversize) {
+        return [probe = DtorProbe(dtors), token, pad] { *token += 1 + pad[0]; };
+      }
+      return [probe = DtorProbe(dtors), token] { ++*token; };
+    };
+    {
+      Simulator sim;
+      sim.schedule_after(usec(1), make(&fired_dtors));
+      const EventId doomed =
+          sim.schedule_after(usec(2), make(&cancelled_dtors));
+      sim.schedule_after(sec(10), make(&torn_down_dtors));
+      EXPECT_EQ(token.use_count(), 4);
+      EXPECT_TRUE(sim.cancel(doomed));
+      EXPECT_EQ(cancelled_dtors, 1);
+      EXPECT_EQ(token.use_count(), 3);
+      sim.run_until(SimTime{100});
+      EXPECT_EQ(fired_dtors, 1);
+      EXPECT_EQ(*token, 1);
+      EXPECT_EQ(token.use_count(), 2);
+      EXPECT_EQ(torn_down_dtors, 0);
+    }
+    EXPECT_EQ(torn_down_dtors, 1);
+    EXPECT_EQ(fired_dtors, 1);
+    EXPECT_EQ(cancelled_dtors, 1);
+    EXPECT_EQ(token.use_count(), 1);
+  }
+}
+
+TEST(Task, HandlerReschedulesItself) {
+  // A handler that schedules its own successor from inside its call: the
+  // slab cell it came from is recycled under it, and it must not care.
+  Simulator sim;
+  std::vector<std::int64_t> times;
+  struct Ticker {
+    Simulator& sim;
+    std::vector<std::int64_t>& times;
+    int left;
+    void arm() {
+      sim.schedule_after(usec(250), [this, self = std::make_unique<int>(left)] {
+        times.push_back(sim.now().us);
+        if (--left > 0) arm();
+      });
+    }
+  } ticker{sim, times, 5};
+  ticker.arm();
+  EXPECT_EQ(sim.run(), 5u);
+  EXPECT_EQ(times, (std::vector<std::int64_t>{250, 500, 750, 1000, 1250}));
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
+
+#include "lod/streaming/protocol.hpp"
 
 namespace lod::net {
 namespace {
@@ -18,6 +22,88 @@ std::string string_of(std::span<const std::byte> b) {
 }
 
 // --- ByteWriter / ByteReader ---------------------------------------------------
+
+std::vector<std::byte> hex_bytes(std::initializer_list<int> v) {
+  std::vector<std::byte> out;
+  for (int b : v) out.push_back(static_cast<std::byte>(b));
+  return out;
+}
+
+TEST(Bytes, WireFormatIsPinned) {
+  // Little-endian fixed-width fields, u32 length prefixes. These are the
+  // bytes every frame on the wire is made of; no rewrite may move one.
+  ByteWriter w;
+  w.u8(0xab);
+  w.u16(0xbeef);
+  w.u32(0xdeadbeef);
+  w.u64(0x0123456789abcdefULL);
+  w.i64(-2);
+  w.f64(1.5);
+  w.str("hi");
+  const std::vector<std::byte> blob{std::byte{0x07}, std::byte{0x00}};
+  w.blob(blob);
+  EXPECT_EQ(w.bytes(),
+            hex_bytes({0xab,                                            // u8
+                       0xef, 0xbe,                                      // u16
+                       0xef, 0xbe, 0xad, 0xde,                          // u32
+                       0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+                       0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // i64
+                       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,  // f64
+                       0x02, 0x00, 0x00, 0x00, 'h', 'i',                // str
+                       0x02, 0x00, 0x00, 0x00, 0x07, 0x00}));           // blob
+}
+
+TEST(Bytes, LoddDataHeaderIsPinned) {
+  // [magic u32][session u64][epoch u32][seq u64][packet_index u32], written
+  // in the session engine's field order.
+  ByteWriter w;
+  w.reserve(streaming::proto::kDataHeaderBytes);
+  w.u32(streaming::proto::kDataMagic);
+  w.u64(0x0000000100000002ULL);
+  w.u32(3);
+  w.u64(0x1122334455667788ULL);
+  w.u32(0x00000105);
+  EXPECT_EQ(w.size(), streaming::proto::kDataHeaderBytes);
+  EXPECT_EQ(w.bytes(),
+            hex_bytes({'D', 'D', 'O', 'L',                              // magic
+                       0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // id
+                       0x03, 0x00, 0x00, 0x00,                          // epoch
+                       0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // seq
+                       0x05, 0x01, 0x00, 0x00}));                       // index
+}
+
+TEST(Bytes, ReliableDataFrameIsPinned) {
+  // A DATA frame as it leaves a ReliableEndpoint: [tag u8 = 1][incarnation
+  // u64][seq u64] with the message attached as the body. Incarnations count
+  // up per thread from 0x1c4c, so a fresh thread makes the first one known.
+  std::vector<std::byte> header;
+  std::vector<std::byte> body;
+  std::uint32_t wire = 0;
+  std::thread([&] {
+    Simulator sim;
+    Network net(sim);
+    const HostId a = net.add_host("a");
+    const HostId b = net.add_host("b");
+    net.add_link(a, b, LinkConfig{});
+    ReliableEndpoint ep(net, a, 5);
+    net.bind(b, 6, [&](const Datagram& d) {
+      if (!header.empty()) return;  // keep the first transmission
+      header.assign(d.payload.view().begin(), d.payload.view().end());
+      body.assign(d.body.view().begin(), d.body.view().end());
+      wire = d.wire_size;
+    });
+    ep.send_to(b, 6, bytes_of("ok"));
+    ep.send_to(b, 6, bytes_of("two"));
+    sim.run_until(SimTime{50'000});
+  }).join();
+  EXPECT_EQ(header,
+            hex_bytes({0x01,                                           // kData
+                       0x4c, 0x1c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // inc.
+                       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));  // seq
+  EXPECT_EQ(string_of(body), "ok");
+  EXPECT_EQ(wire, 17u + 2u + 40u);  // header + message + segment overhead
+}
+
 
 TEST(Bytes, RoundTripAllTypes) {
   ByteWriter w;
@@ -160,6 +246,31 @@ TEST_F(TransportFixture, ReliableSurvivesHeavyLoss) {
   sim.run();
   ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) EXPECT_EQ(got[i], std::to_string(i));
+  EXPECT_GT(ea.retransmissions(), 0u);
+  EXPECT_TRUE(ea.all_acked());
+}
+
+TEST_F(TransportFixture, ReliableInflightRingWrapsAcrossWavesUnderLoss) {
+  // Waves of 1-9 messages, each sent while part of the previous wave is
+  // still unacknowledged, so the sender's in-flight ring fills, grows,
+  // drains from the front and wraps while retransmits fire out of it.
+  link(0.2);
+  ReliableEndpoint ea(net, a, 100, msec(30));
+  ReliableEndpoint eb(net, b, 200, msec(30));
+  std::vector<std::string> got;
+  eb.on_receive([&](const ReliableEndpoint::Message& m) {
+    got.push_back(string_of(m.payload));
+  });
+  int sent = 0;
+  for (int wave = 0; wave < 40; ++wave) {
+    for (int i = 0; i < 1 + wave % 9; ++i) {
+      ea.send_to(b, 200, bytes_of(std::to_string(sent++)));
+    }
+    sim.run_until(sim.now() + msec(7));
+  }
+  sim.run();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(sent));
+  for (int i = 0; i < sent; ++i) EXPECT_EQ(got[i], std::to_string(i));
   EXPECT_GT(ea.retransmissions(), 0u);
   EXPECT_TRUE(ea.all_acked());
 }
