@@ -8,11 +8,16 @@
 // firing — recorder enabled and recorder disabled. The contract: both the
 // disabled path AND the recorder-ENABLED path cost < 2% over the
 // un-instrumented engine (the journal must be cheap enough to fly always-on).
-// Exit is nonzero when the contract is violated.
+// Each configuration is timed in thread CPU time, in samples of >= 20 ms of
+// plays; the gate reads the median over rounds of each round's
+// configuration/baseline ratio. Exit is nonzero when the contract is violated.
 
-#include <chrono>
+#include <time.h>
+
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <limits>
+#include <vector>
 
 #include "lod/core/ocpn.hpp"
 #include "lod/obs/hub.hpp"
@@ -35,25 +40,33 @@ TemporalSpec chain_spec(int n) {
   return s;
 }
 
-/// Min-of-reps wall time for one playout configuration. Min (not mean) is
-/// the noise-robust statistic for a fixed deterministic workload.
+/// CPU time this thread has run, in seconds. Unlike wall time it does not
+/// count time spent preempted, which on a shared runner is most of the noise.
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Thread-CPU seconds per play over one sample of \p plays back-to-back plays.
 template <typename Fn>
-double min_seconds(Fn&& fn, int reps) {
-  double best = std::numeric_limits<double>::max();
-  for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
+double per_play_s(Fn&& fn, int plays) {
+  const double t0 = thread_cpu_s();
+  for (int i = 0; i < plays; ++i) fn();
+  return (thread_cpu_s() - t0) / plays;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 }  // namespace
 
 int main() {
   constexpr int kChain = 10'000;
-  constexpr int kReps = 40;
   constexpr std::size_t kMaxSteps = 1'000'000;
 
   const auto compiled = build_ocpn(chain_spec(kChain));
@@ -78,59 +91,75 @@ int main() {
   PlayObs flighted = disabled;
   flighted.flight = &hub.flight();
 
-  // Interleave the configurations so frequency drift hits all five equally;
-  // a few back-to-back plays per sample keep the min robust on noisy
-  // shared runners, where single-play samples jitter by several percent.
-  constexpr int kPlaysPerSample = 3;
+  // Each sample is at least kSampleS of thread CPU time, so timer
+  // resolution and a stray cache flush are small against it. Every round
+  // samples all five configurations back to back (in an order rotated per
+  // round) and divides each by that round's baseline, so frequency drift
+  // between rounds cancels; the gate reads the median ratio over rounds.
+  constexpr double kSampleS = 0.020;
+  constexpr int kRounds = 31;
   std::int64_t sink_makespan = 0;
-  double base_s = std::numeric_limits<double>::max();
-  double off_s = std::numeric_limits<double>::max();
-  double on_s = std::numeric_limits<double>::max();
-  double flight_s = std::numeric_limits<double>::max();
-  double flight_off_s = std::numeric_limits<double>::max();
-  for (int round = 0; round < kReps; ++round) {
-    base_s = std::min(base_s, min_seconds([&] {
-               sink_makespan += play(compiled.net, m0).makespan.us;
-             }, kPlaysPerSample));
-    off_s = std::min(off_s, min_seconds([&] {
-              sink_makespan +=
-                  play(compiled.net, m0, kMaxSteps, disabled).makespan.us;
-            }, kPlaysPerSample));
-    hub.trace().set_enabled(true);
-    on_s = std::min(on_s, min_seconds([&] {
-             sink_makespan +=
-                 play(compiled.net, m0, kMaxSteps, disabled).makespan.us;
-           }, kPlaysPerSample));
-    hub.trace().set_enabled(false);
-    flight_s = std::min(flight_s, min_seconds([&] {
-                 sink_makespan +=
-                     play(compiled.net, m0, kMaxSteps, flighted).makespan.us;
-               }, kPlaysPerSample));
-    hub.flight().set_enabled(false);
-    flight_off_s =
-        std::min(flight_off_s, min_seconds([&] {
-          sink_makespan +=
-              play(compiled.net, m0, kMaxSteps, flighted).makespan.us;
-        }, kPlaysPerSample));
-    hub.flight().set_enabled(true);
+  /// One play; a null \p o is the plain 3-arg engine.
+  const auto play_once = [&](const PlayObs* o) {
+    sink_makespan += (o ? play(compiled.net, m0, kMaxSteps, *o)
+                        : play(compiled.net, m0))
+                         .makespan.us;
+  };
+  struct Config {
+    const char* name;
+    bool trace_on;
+    bool flight_on;
+    const PlayObs* obs;
+    std::vector<double> per_play_s{};
+    std::vector<double> ratio{};  ///< per round, over that round's baseline
+  };
+  Config configs[] = {
+      {"no instrumentation", false, true, nullptr},
+      {"sink attached, disabled", false, true, &disabled},
+      {"sink enabled", true, true, &disabled},
+      {"flight recorder enabled", false, true, &flighted},
+      {"flight recorder disabled", false, false, &flighted},
+  };
+  constexpr int kConfigs = static_cast<int>(std::size(configs));
+  const double one_play_s = per_play_s([&] { play_once(nullptr); }, 3);
+  const int plays_per_sample =
+      std::max(1, static_cast<int>(std::ceil(kSampleS / one_play_s)));
+  for (int round = 0; round < kRounds; ++round) {
+    double sample[kConfigs];
+    for (int k = 0; k < kConfigs; ++k) {
+      const int c = (round + k) % kConfigs;
+      hub.trace().set_enabled(configs[c].trace_on);
+      hub.flight().set_enabled(configs[c].flight_on);
+      sample[c] = per_play_s([&] { play_once(configs[c].obs); },
+                             plays_per_sample);
+    }
+    for (int c = 0; c < kConfigs; ++c) {
+      configs[c].per_play_s.push_back(sample[c]);
+      configs[c].ratio.push_back(sample[c] / sample[0]);
+    }
   }
+  hub.trace().set_enabled(false);
+  hub.flight().set_enabled(true);
 
-  const double overhead_off = off_s / base_s - 1.0;
-  const double overhead_on = on_s / base_s - 1.0;
-  const double overhead_flight = flight_s / base_s - 1.0;
-  const double overhead_flight_off = flight_off_s / base_s - 1.0;
+  const auto overhead = [&](int c) { return median(configs[c].ratio) - 1.0; };
+  const double overhead_off = overhead(1);
+  const double overhead_flight = overhead(3);
+  const double overhead_flight_off = overhead(4);
   std::printf("=== obs overhead on the playout engine (%d-object chain) ===\n\n",
               kChain);
-  std::printf("%-26s %10s %10s\n", "configuration", "min play", "overhead");
-  std::printf("%-26s %8.3fms %10s\n", "no instrumentation", base_s * 1e3, "-");
-  std::printf("%-26s %8.3fms %9.1f%%\n", "sink attached, disabled",
-              off_s * 1e3, overhead_off * 100);
-  std::printf("%-26s %8.3fms %9.1f%%\n", "sink enabled", on_s * 1e3,
-              overhead_on * 100);
-  std::printf("%-26s %8.3fms %9.1f%%\n", "flight recorder enabled",
-              flight_s * 1e3, overhead_flight * 100);
-  std::printf("%-26s %8.3fms %9.1f%%\n", "flight recorder disabled",
-              flight_off_s * 1e3, overhead_flight_off * 100);
+  std::printf("%d rounds x %d plays per sample, thread CPU time\n\n",
+              kRounds, plays_per_sample);
+  std::printf("%-26s %12s %10s\n", "configuration", "median play",
+              "overhead");
+  for (int c = 0; c < kConfigs; ++c) {
+    std::printf("%-26s %10.3fms ", configs[c].name,
+                median(configs[c].per_play_s) * 1e3);
+    if (c == 0) {
+      std::printf("%10s\n", "-");
+    } else {
+      std::printf("%9.1f%%\n", overhead(c) * 100);
+    }
+  }
   std::printf("\n(counter lod.petri.transitions_fired = %llu; checksum %lld; "
               "journal %llu events)\n",
               static_cast<unsigned long long>(disabled.fired.value()),

@@ -139,9 +139,11 @@ PlayoutTrace play(const TimedPetriNet& net, const Marking& initial,
 struct PlayObs {
   /// Emits a kTransitionFire event per firing (actor = transition id,
   /// a = firing instant in presentation microseconds). Honors
-  /// `TraceSink::enabled()`; nullptr disables entirely.
+  /// `TraceSink::enabled()` as it stands when the play starts; nullptr
+  /// disables entirely.
   obs::TraceSink* trace{nullptr};
-  /// Incremented once per firing (e.g. `lod.petri.transitions_fired`).
+  /// Advanced by the play's firing count when the play returns (e.g.
+  /// `lod.petri.transitions_fired`).
   obs::Counter fired;
   /// Journals a kSimEvent per firing into the dispatch lane (actor =
   /// transition id, a = firing instant). Always-on path — its cost is part

@@ -113,6 +113,13 @@ PlayoutTrace play_impl(const TimedPetriNet& net, const Marking& initial,
   std::size_t steps = 0;
   SimDuration now{0};
 
+  // Read the hooks once: nothing inside a play toggles them, and locals keep
+  // the disabled path to one predictable branch per firing. The firing
+  // counter is bumped once per play (by the number of firings) for the same
+  // reason; nothing can read it while a play runs.
+  const bool tracing = hooks.trace && hooks.trace->enabled();
+  obs::FlightRecorder* const flight = hooks.flight;
+
   auto fire = [&](TransitionId t) {
     SiteId home = kLocalSite;
     for (const auto& a : net.inputs(t)) {
@@ -124,19 +131,18 @@ PlayoutTrace play_impl(const TimedPetriNet& net, const Marking& initial,
       }
     }
     trace.firings.push_back(FiringRecord{t, now});
-    hooks.fired.inc();
-    if (hooks.trace && hooks.trace->enabled()) {
+    if (tracing) {
       hooks.trace->emit(obs::EventType::kTransitionFire, t, now.us);
     }
     // The engine fires every ~50ns, so even a ~2.5ns journal write per
     // firing would bust the <2% obs-overhead contract: sample the firehose
     // lane 1-in-16. Control-lane events (verdicts, drops, SLO, spans) are
     // never sampled; `b` carries the firing ordinal so gaps are explicit.
-    if (hooks.flight && (trace.firings.size() & 15u) == 0) {
-      hooks.flight->record_at(now.us, obs::FlightType::kSimEvent, t,
-                              static_cast<std::uint64_t>(now.us),
-                              trace.firings.size(),
-                              obs::FlightRecorder::kLaneDispatch);
+    if (flight && (trace.firings.size() & 15u) == 0) {
+      flight->record_at(now.us, obs::FlightType::kSimEvent, t,
+                        static_cast<std::uint64_t>(now.us),
+                        trace.firings.size(),
+                        obs::FlightRecorder::kLaneDispatch);
     }
     for (const auto& a : net.outputs(t)) {
       const SimDuration hop =
@@ -162,6 +168,7 @@ PlayoutTrace play_impl(const TimedPetriNet& net, const Marking& initial,
         if (steps >= max_steps) {
           trace.truncated = true;
           trace.makespan = now;
+          hooks.fired.inc(trace.firings.size());
           return trace;
         }
         fire(t);
@@ -184,6 +191,7 @@ PlayoutTrace play_impl(const TimedPetriNet& net, const Marking& initial,
   SimDuration makespan = now;
   for (const auto& iv : trace.intervals) makespan = std::max(makespan, iv.end);
   trace.makespan = makespan;
+  hooks.fired.inc(trace.firings.size());
   return trace;
 }
 }  // namespace

@@ -15,6 +15,7 @@
 #include "lod/media/drm.hpp"
 #include "lod/net/transport.hpp"
 #include "lod/streaming/protocol.hpp"
+#include "lod/streaming/render_log.hpp"
 #include "lod/streaming/render_queue.hpp"
 #include "lod/streaming/selector.hpp"
 
@@ -109,15 +110,6 @@ struct PlayerConfig {
   /// (see lod::LoadGen) switch it on so server/edge session state drains as
   /// sessions complete and the event queue can run dry.
   bool auto_stop_on_finish{false};
-};
-
-/// One rendered access unit, in three clocks at once.
-struct RenderEvent {
-  media::MediaType type;
-  std::uint16_t stream_id;
-  net::SimDuration pts;
-  net::SimTime true_time;   ///< global simulation time (ground truth)
-  net::SimTime local_time;  ///< this host's (possibly skewed) clock
 };
 
 /// A slide made visible by a SLIDE script command.
@@ -292,7 +284,7 @@ class Player {
   void set_observer(PlayerObserver* obs) { observer_ = obs; }
   PlayerObserver* observer() const { return observer_; }
 
-  const std::vector<RenderEvent>& rendered() const { return rendered_; }
+  const RenderLog& rendered() const { return rendered_; }
   const std::vector<SlideEvent>& slides() const { return slides_; }
   const std::vector<AnnotationEvent>& annotations() const { return annotations_; }
   const std::vector<StallEvent>& stalls() const { return stalls_; }
@@ -497,7 +489,7 @@ class Player {
   net::SimTime play_issued_{};
   net::SimDuration startup_delay_{-1};
 
-  std::vector<RenderEvent> rendered_;
+  RenderLog rendered_;
   std::vector<SlideEvent> slides_;
   std::vector<AnnotationEvent> annotations_;
   std::vector<StallEvent> stalls_;

@@ -1016,7 +1016,7 @@ void Player::render_due() {
   while (!buffer_.empty() && unit_due(buffer_.front().pts) <= now) {
     const QueuedUnit meta = buffer_.front();
     buffer_.pop_front();
-    const RenderEvent ev{meta.type, meta.stream_id, meta.pts, now, now_local};
+    const RenderEvent ev{meta.type, meta.stream_id, meta.pts, now};
     rendered_.push_back(ev);
     m_units_rendered_.inc();
     m_render_offset_us_.observe(now.us - meta.pts.us);

@@ -403,6 +403,39 @@ TEST_F(EdgeFixture, PlayerFailsOverToOriginWhenEdgeDies) {
   EXPECT_TRUE(p.finished());
 }
 
+TEST_F(EdgeFixture, RenderLogMatchesObservedRendersAcrossFailover) {
+  struct RecordingObserver : streaming::PlayerObserver {
+    std::vector<streaming::RenderEvent> seen;
+    void on_render(const streaming::RenderEvent& e) override {
+      seen.push_back(e);
+    }
+  };
+
+  publish("lec", sec(30));
+  ReplicaSelector sel(network, client_host, origin_host, {edge_host});
+  auto cfg = player_cfg(5000);
+  cfg.failover_timeout = msec(1500);
+  streaming::Player p(network, client_host, cfg);
+  RecordingObserver watch;
+  p.set_observer(&watch);
+  p.open_and_play_via(sel, "lec");
+  sim.run_until(SimTime{sec(5).us});
+  ASSERT_TRUE(p.playing());
+  edge.reset();  // kill the edge mid-session
+  sim.run_until(SimTime{sec(60).us});
+
+  ASSERT_GE(p.failovers(), 1u);
+  ASSERT_TRUE(p.finished());
+  const auto& log = p.rendered();
+  EXPECT_EQ(log.size(), p.units_rendered());
+  ASSERT_EQ(log.size(), watch.seen.size());
+  std::size_t i = 0;
+  for (const streaming::RenderEvent& e : log) {
+    ASSERT_EQ(e, watch.seen[i]) << "unit " << i;
+    ++i;
+  }
+}
+
 TEST_F(EdgeFixture, FailoverSessionYieldsOneSpanTreeWithoutOrphans) {
   // The tentpole acceptance scenario: edge-relayed playout with a forced
   // mid-session failover must reconstruct into a single span tree per

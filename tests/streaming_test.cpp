@@ -793,6 +793,38 @@ TEST_F(StreamFixture, PlayerObserverReceivesTypedEvents) {
   EXPECT_EQ(watch.interactions[1], InteractionRecord::Kind::kResume);
 }
 
+TEST_F(StreamFixture, RenderLogMatchesObservedRendersThroughPauseAndSeek) {
+  struct RecordingObserver : PlayerObserver {
+    std::vector<RenderEvent> seen;
+    void on_render(const RenderEvent& e) override { seen.push_back(e); }
+  };
+
+  const auto enc = encode(sec(40), default_job());
+  server->publish("lec", enc.file);
+  Player p(network, client_host, player_cfg(SyncModel::kEtpn));
+  RecordingObserver watch;
+  p.set_observer(&watch);
+  p.open_and_play(server_host, "lec");
+  sim.run_until(SimTime{sec(6).us});
+  p.pause();
+  sim.run_until(SimTime{sec(9).us});
+  p.resume();
+  sim.run_until(SimTime{sec(14).us});
+  p.seek(sec(30));
+  sim.run();
+
+  ASSERT_TRUE(p.finished());
+  ASSERT_EQ(p.interactions().size(), 3u);
+  const auto& log = p.rendered();
+  EXPECT_EQ(log.size(), p.units_rendered());
+  ASSERT_EQ(log.size(), watch.seen.size());
+  std::size_t i = 0;
+  for (const RenderEvent& e : log) {
+    ASSERT_EQ(e, watch.seen[i]) << "unit " << i;
+    ++i;
+  }
+}
+
 TEST_F(StreamFixture, TraceRecordsSessionLifecycle) {
   sim.obs().trace().set_enabled(true);
   const auto enc = encode(sec(5), default_job());
