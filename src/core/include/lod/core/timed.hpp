@@ -120,18 +120,6 @@ struct PlayoutTrace {
                                            std::string_view object_name) const;
 };
 
-/// Deterministic earliest-firing playout of a timed net.
-///
-/// Semantics: a transition fires the instant all its (normal) input places
-/// hold enough *mature* tokens and no inhibitor input holds any token
-/// (mature or cooking). Ties fire highest-priority first (see
-/// PetriNet::set_priority), then ascending transition id. When an output
-/// place sits on a different site than the transition's "home" (the max
-/// site among its input places), the token additionally pays the net's
-/// transfer delay before it starts cooking.
-PlayoutTrace play(const TimedPetriNet& net, const Marking& initial,
-                  std::size_t max_steps = 1'000'000);
-
 /// Observability hooks for playout. Both members are optional; a
 /// default-constructed PlayObs is exactly the un-instrumented engine (the
 /// null counter and null sink reduce to one predictable branch per firing —
@@ -151,10 +139,21 @@ struct PlayObs {
   obs::FlightRecorder* flight{nullptr};
 };
 
-/// Instrumented playout: identical semantics to `play`, publishing into
+/// Deterministic earliest-firing playout of a timed net, publishing into
 /// \p obs as it goes.
+///
+/// Semantics: a transition fires the instant all its (normal) input places
+/// hold enough *mature* tokens and no inhibitor input holds any token
+/// (mature or cooking). Ties fire highest-priority first (see
+/// PetriNet::set_priority), then ascending transition id. When an output
+/// place sits on a different site than the transition's "home" (the max
+/// site among its input places), the token additionally pays the net's
+/// transfer delay before it starts cooking.
+///
+/// One function for the plain and the instrumented playout, so both run
+/// the same machine code and bench_obs_overhead compares like with like.
 PlayoutTrace play(const TimedPetriNet& net, const Marking& initial,
-                  std::size_t max_steps, const PlayObs& obs);
+                  std::size_t max_steps = 1'000'000, const PlayObs& obs = {});
 
 /// Stochastic playout — the stochastic-Petri-net member of the family the
 /// paper surveys (§1). Each token's maturation time is sampled per visit:

@@ -197,12 +197,6 @@ PlayoutTrace play_impl(const TimedPetriNet& net, const Marking& initial,
 }  // namespace
 
 PlayoutTrace play(const TimedPetriNet& net, const Marking& initial,
-                  std::size_t max_steps) {
-  return play_impl(net, initial, max_steps,
-                   [&net](PlaceId p) { return net.duration(p); });
-}
-
-PlayoutTrace play(const TimedPetriNet& net, const Marking& initial,
                   std::size_t max_steps, const PlayObs& obs) {
   return play_impl(net, initial, max_steps,
                    [&net](PlaceId p) { return net.duration(p); }, obs);

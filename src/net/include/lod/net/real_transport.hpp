@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "lod/net/result.hpp"
+#include "lod/net/timing_wheel.hpp"
 #include "lod/net/transport_base.hpp"
 #include "lod/obs/hub.hpp"
 #include "lod/obs/rollup.hpp"
@@ -31,8 +32,10 @@
 ///    transport's registry) and the "LODR" length-prefixed RPC framing
 ///    (decoded frames funnel through `RpcServer::handle`, so one route
 ///    table answers the UDP and the TCP control planes),
-///  - timers ride the epoll wait deadline, driven by a monotonic
-///    microsecond clock shared by every instance in the process.
+///  - timers sit on a `TimingWheel`, the simulator's queue, and fire in
+///    the same (time, schedule order); the wheel's next due time is the
+///    epoll wait deadline, read off a monotonic microsecond clock shared
+///    by every instance in the process.
 ///
 /// Addressing: `HostId h` maps to the loopback IPv4 address `base_ip + h`.
 /// Linux routes all of 127.0.0.0/8 locally, so every host gets its own real
@@ -164,13 +167,6 @@ class RealTransport : public Transport {
     std::vector<std::byte> buf;
     enum class Mode { kSniff, kRpc, kHttp } mode{Mode::kSniff};
   };
-  struct TimerEntry {
-    SimTime at;
-    EventId id;
-    bool operator>(const TimerEntry& o) const {
-      return at.us != o.at.us ? at.us > o.at.us : id > o.id;
-    }
-  };
 
   static std::uint64_t port_key(HostId h, Port p) {
     return (static_cast<std::uint64_t>(h) << 16) | p;
@@ -212,10 +208,8 @@ class RealTransport : public Transport {
   std::unordered_map<int, TcpListener> listeners_;
   std::unordered_map<int, TcpConn> conns_;
 
-  mutable std::mutex timer_mu_;
-  std::vector<TimerEntry> timer_heap_;  ///< min-heap via std::push/pop_heap
-  std::unordered_map<EventId, TimerFn> timer_fns_;
-  EventId next_event_{1};
+  std::mutex timer_mu_;
+  TimingWheel timers_;  ///< guarded by timer_mu_
   std::uint64_t next_datagram_{1};
   std::vector<std::byte> rx_buf_;  ///< loop-thread recv staging
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "lod/net/task.hpp"
 #include "lod/net/time.hpp"
@@ -20,12 +19,6 @@
 
 namespace lod::net {
 
-/// Identifies a scheduled event so it can be cancelled before it fires.
-/// Opaque to callers; internally (slot << 32) | generation into the handler
-/// slab, so cancel() is O(1) with no hashing. Never zero, and a default-
-/// constructed (zero) or stale id is always rejected harmlessly.
-using EventId = std::uint64_t;
-
 /// A single-threaded discrete-event simulator.
 ///
 /// Not thread-safe by design: determinism is the point. Handlers may schedule
@@ -33,7 +26,7 @@ using EventId = std::uint64_t;
 /// events run after the current handler returns, in insertion order).
 class Simulator {
  public:
-  /// Captures of up to `Task::kInlineBytes` live in the handler slab cell:
+  /// Captures of up to `Task::kInlineBytes` live in the wheel's slab cell:
   /// scheduling and firing them allocates nothing.
   using Handler = Task;
 
@@ -77,45 +70,18 @@ class Simulator {
   std::size_t run_steps(std::size_t n);
 
   /// Number of events currently pending (cancelled events excluded).
-  std::size_t pending() const { return live_; }
+  std::size_t pending() const { return wheel_.pending(); }
 
  private:
-  /// One slab cell per in-flight handler. Wheel items stay trivially
-  /// copyable (they are re-placed on every cascade); the handler, capture
-  /// inline, is moved exactly twice — into its cell at schedule, out at
-  /// fire. The generation counter makes stale ids (fired or cancelled, slot
-  /// since reused) miss: an id only resolves while its generation matches
-  /// the cell's.
-  struct Cell {
-    Handler h;
-    std::uint32_t gen{1};
-    bool live{false};
-  };
-
-  static std::uint32_t id_slot(EventId id) {
-    return static_cast<std::uint32_t>(id >> 32);
-  }
-  static std::uint32_t id_gen(EventId id) {
-    return static_cast<std::uint32_t>(id);
-  }
-
-  /// Retire a cell: drop the handler, bump the generation so the id (and
-  /// its lazily-remaining wheel item) goes stale, recycle the slot.
-  void free_cell(std::uint32_t slot);
-
-  /// Pop the next live (non-cancelled) item; sweeps cancelled ones lazily.
-  bool pop_next(TimingWheel::Item& out);
+  /// Pop and run the earliest event due by \p limit; false when none is.
+  bool fire_next(std::int64_t limit);
 
   SimTime now_{};
   obs::Hub obs_;
   obs::Counter events_scheduled_;
   obs::Counter events_fired_;
   obs::Counter events_cancelled_;
-  std::uint64_t next_seq_{0};
   TimingWheel wheel_;
-  std::vector<Cell> cells_;
-  std::vector<std::uint32_t> free_;  ///< recycled slots, LIFO
-  std::size_t live_{0};
 };
 
 }  // namespace lod::net

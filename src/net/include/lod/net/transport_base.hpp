@@ -11,6 +11,7 @@
 #include "lod/net/payload.hpp"
 #include "lod/net/task.hpp"
 #include "lod/net/time.hpp"
+#include "lod/net/timing_wheel.hpp"  // EventId: both backends mint it there
 #include "lod/obs/hub.hpp"
 
 /// \file transport_base.hpp
@@ -47,10 +48,6 @@ namespace lod::net {
 using HostId = std::uint32_t;
 using Port = std::uint16_t;
 using ChannelId = std::uint32_t;
-
-/// Identifies a scheduled timer/event so it can be cancelled before firing.
-/// (Redeclared identically by the simulator; an alias may be repeated.)
-using EventId = std::uint64_t;
 
 /// The transport's unit of delivery. `wire_size` is what consumes link (or
 /// models kernel/framing) capacity; `payload` (+ optional `body`) is what

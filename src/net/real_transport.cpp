@@ -14,7 +14,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <functional>
 
 #include "lod/net/frame.hpp"
 #include "lod/net/transport.hpp"
@@ -172,6 +171,7 @@ RealTransport::RealTransport(Config cfg) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
   tx_fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
   rx_buf_.resize(1 << 16);
+  timers_.fast_forward(now().us);
   hub_.set_clock([this] { return now().us; });
   obs::RollupStore::Config rcfg;
   rcfg.window_us = cfg.rollup_window_us;
@@ -203,19 +203,16 @@ SimTime RealTransport::now() const {
 
 EventId RealTransport::schedule_at(SimTime t, TimerFn fn) {
   std::lock_guard lk(timer_mu_);
-  const EventId id = next_event_++;
-  timer_fns_.emplace(id, std::move(fn));
-  timer_heap_.push_back(TimerEntry{t, id});
-  std::push_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>{});
+  const EventId id = timers_.schedule(t.us, std::move(fn));
   // A loop blocked in epoll_wait with a longer (or no) deadline must re-read
-  // the heap; scheduling from the loop thread itself needs no kick.
+  // the wheel; scheduling from the loop thread itself needs no kick.
   if (running_.load() && std::this_thread::get_id() != loop_thread_) wakeup();
   return id;
 }
 
 bool RealTransport::cancel(EventId id) {
   std::lock_guard lk(timer_mu_);
-  return timer_fns_.erase(id) > 0;  // heap entry is skipped lazily
+  return timers_.cancel(id);
 }
 
 HostClock& RealTransport::clock(HostId h) {
@@ -400,34 +397,23 @@ void RealTransport::wakeup() {
 
 int RealTransport::next_timeout_ms() {
   std::lock_guard lk(timer_mu_);
-  while (!timer_heap_.empty() && !timer_fns_.count(timer_heap_.front().id)) {
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>{});
-    timer_heap_.pop_back();
-  }
-  if (timer_heap_.empty()) return -1;
-  const std::int64_t delta_us = timer_heap_.front().at.us - now().us;
+  const std::int64_t t = now().us;
+  // A lower bound on the next deadline only wakes the loop early.
+  const std::int64_t due = timers_.next_due(t);
+  if (due < 0) return -1;
+  const std::int64_t delta_us = due - t;
   if (delta_us <= 0) return 0;
   return static_cast<int>(std::min<std::int64_t>((delta_us + 999) / 1000, 60'000));
 }
 
 void RealTransport::fire_due_timers() {
   while (!stop_.load()) {
-    TimerFn fn;
+    TimingWheel::Due due;
     {
       std::lock_guard lk(timer_mu_);
-      while (!timer_heap_.empty() && !timer_fns_.count(timer_heap_.front().id)) {
-        std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>{});
-        timer_heap_.pop_back();
-      }
-      if (timer_heap_.empty() || timer_heap_.front().at > now()) return;
-      const EventId id = timer_heap_.front().id;
-      std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>{});
-      timer_heap_.pop_back();
-      const auto it = timer_fns_.find(id);
-      fn = std::move(it->second);
-      timer_fns_.erase(it);
+      if (!timers_.pop_due(now().us, due)) return;
     }
-    fn();  // outside the lock: timers schedule timers
+    due.task();  // outside the lock: timers schedule timers
   }
 }
 

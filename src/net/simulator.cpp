@@ -1,6 +1,7 @@
 #include "lod/net/simulator.hpp"
 
 #include <cstdio>
+#include <limits>
 
 namespace lod::net {
 
@@ -31,68 +32,31 @@ Simulator::Simulator() {
 }
 
 EventId Simulator::schedule_at(SimTime t, Handler h) {
-  if (t < now_) t = now_;
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(cells_.size());
-    cells_.emplace_back();
-  }
-  Cell& c = cells_[slot];
-  c.h = std::move(h);
-  c.live = true;
-  ++live_;
-  const EventId id = (std::uint64_t{slot} << 32) | c.gen;
-  wheel_.schedule(TimingWheel::Item{t.us, next_seq_++, id});
   events_scheduled_.inc();
-  return id;
-}
-
-void Simulator::free_cell(std::uint32_t slot) {
-  Cell& c = cells_[slot];
-  c.h = nullptr;
-  ++c.gen;
-  c.live = false;
-  free_.push_back(slot);
-  --live_;
+  return wheel_.schedule(t.us, std::move(h));
 }
 
 bool Simulator::cancel(EventId id) {
-  const std::uint32_t slot = id_slot(id);
-  if (slot >= cells_.size()) return false;
-  Cell& c = cells_[slot];
-  if (!c.live || c.gen != id_gen(id)) return false;
-  // The wheel item stays in place; its generation no longer matches, so it
-  // is swept when its slot drains — O(1) cancel without hunting the wheel.
-  free_cell(slot);
+  if (!wheel_.cancel(id)) return false;
   events_cancelled_.inc();
   return true;
 }
 
-bool Simulator::pop_next(TimingWheel::Item& out) {
-  while (wheel_.pop(out)) {
-    const Cell& c = cells_[id_slot(out.id)];
-    if (c.live && c.gen == id_gen(out.id)) return true;
-    // Stale generation: the event was cancelled; sweep and keep looking.
-  }
-  return false;
+bool Simulator::fire_next(std::int64_t limit) {
+  TimingWheel::Due due;
+  if (!wheel_.pop_due(limit, due)) return false;
+  now_ = SimTime{due.at};
+  events_fired_.inc();
+  obs_.flight().record_at(now_.us, obs::FlightType::kSimEvent,
+                          static_cast<std::uint32_t>(due.id >> 32), due.id,
+                          static_cast<std::uint64_t>(due.at),
+                          obs::FlightRecorder::kLaneDispatch);
+  due.task();
+  return true;
 }
 
 bool Simulator::step() {
-  TimingWheel::Item it;
-  if (!pop_next(it)) return false;
-  now_ = SimTime{it.at};
-  const std::uint32_t slot = id_slot(it.id);
-  Handler h = std::move(cells_[slot].h);
-  free_cell(slot);
-  events_fired_.inc();
-  obs_.flight().record_at(now_.us, obs::FlightType::kSimEvent, slot, it.id,
-                          static_cast<std::uint64_t>(it.at),
-                          obs::FlightRecorder::kLaneDispatch);
-  h();
-  return true;
+  return fire_next(std::numeric_limits<std::int64_t>::max());
 }
 
 std::size_t Simulator::run() {
@@ -103,21 +67,7 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::run_until(SimTime t) {
   std::size_t n = 0;
-  TimingWheel::Item it;
-  while (wheel_.pop_due(t.us, it)) {
-    const std::uint32_t slot = id_slot(it.id);
-    Cell& c = cells_[slot];
-    if (!c.live || c.gen != id_gen(it.id)) continue;  // cancelled; sweep
-    now_ = SimTime{it.at};
-    Handler h = std::move(c.h);
-    free_cell(slot);
-    events_fired_.inc();
-    obs_.flight().record_at(now_.us, obs::FlightType::kSimEvent, slot, it.id,
-                            static_cast<std::uint64_t>(it.at),
-                            obs::FlightRecorder::kLaneDispatch);
-    h();
-    ++n;
-  }
+  while (fire_next(t.us)) ++n;
   if (now_ < t) now_ = t;
   // Keep the wheel's cursor in lockstep with the clock so the next schedule
   // computes distances from the right origin.

@@ -1,17 +1,19 @@
-// Allocation guard for the simulated event and datagram path.
+// Allocation guard for the event, timer and datagram paths of both backends.
 //
 // This binary replaces the global operator new/delete with counting
 // versions, so it must stay its own executable: the counters see every
 // allocation in the process. Each test warms the structures up first (the
-// simulator's handler slab, the timing wheel's buckets, the network's hop
-// slab and route table), then counts allocations over a measured phase.
+// timing wheel's handler slab and buckets, the network's hop slab and route
+// table), then counts allocations over a measured phase.
 //
-// The timing wheel keeps a bucket's storage once a slot has held items, so
-// a steady pattern stops allocating once every slot it visits has been
-// visited. A pattern whose period divides 2^16 us visits the same level-0
-// and level-1 slots in every 65.5 ms window; the warm-up runs past 2^24 us
-// so it also crosses every level-2 boundary, and the measured phase ends
-// before the next level-3 boundary the warm-up did not cross.
+// The timing wheel keeps bucket storage once a slot has held items (a
+// level-0 slot keeps its own, an upper-level slot passes its on to the next
+// one that fills), so a steady pattern stops allocating once every slot it
+// visits has been visited. A pattern whose period divides 2^16 us visits
+// the same level-0 and level-1 slots in every 65.5 ms window; the warm-up
+// runs past 2^24 us so it also crosses every level-2 boundary, and the
+// measured phase ends before the next level-3 boundary the warm-up did not
+// cross.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +21,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 
 #include "lod/net/bytes.hpp"
 #include "lod/net/network.hpp"
 #include "lod/net/payload.hpp"
+#include "lod/net/real_transport.hpp"
 #include "lod/net/simulator.hpp"
 #include "lod/streaming/protocol.hpp"
 
@@ -122,6 +126,67 @@ TEST(NetAlloc, InlineTimersAllocateNothingToScheduleAndFire) {
   const std::uint64_t warm = scheduled;
   const std::uint64_t before = allocs();
   sim.run_until(SimTime{kWarmUntilUs + 3'334 * kPeriodUs});
+  const std::uint64_t during = allocs() - before;
+  EXPECT_GE(scheduled - warm, 10'000u);
+  EXPECT_EQ(during, 0u) << during << " allocations over "
+                        << scheduled - warm << " timers";
+}
+
+TEST(NetAlloc, RealTransportTimersAllocateNothingAfterWarmUp) {
+  // The wall clock decides which wheel slots these timers visit, so unlike
+  // the simulated tests no warm-up can visit all of them first: a cascaded
+  // bucket's storage must serve whichever bucket fills next.
+  RealTransport::Config cfg;
+  cfg.rollup_window_us = 0;  // rollup snapshots allocate by design
+  RealTransport rt(cfg);
+  std::uint64_t sum = 0;
+  std::array<std::uint64_t, 5> pad{1, 2, 3, 4, 5};
+  static_assert(sizeof(pad) + sizeof(&sum) == Task::kInlineBytes);
+  std::uint64_t scheduled = 0;
+  std::uint64_t stop_after = 0;
+  // Each tick schedules (and fires) timers with 8- to 48-byte captures,
+  // schedules and cancels more, and re-arms itself.
+  struct RealTicker {
+    RealTransport& rt;
+    std::function<void()> tick;
+    void arm() {
+      rt.schedule_after(usec(200), [this] { tick(); });
+    }
+  } ticker{rt, {}};
+  ticker.tick = [&] {
+    for (int i = 0; i < 4; ++i) {
+      rt.schedule_after(usec(5 * i), [&sum] { ++sum; });
+      rt.schedule_after(usec(7 * i), [&sum, pad] { sum += pad[3]; });
+      rt.cancel(rt.schedule_after(usec(9 * i),
+                                  [&sum, pad] { sum += pad[0]; }));
+    }
+    scheduled += 12;
+    if (scheduled >= stop_after) {
+      rt.stop();
+    } else {
+      ticker.arm();
+    }
+  };
+
+  // Warm up. First, 16 timers at each of 256 instants 257 us apart, all
+  // pending at once: they reach every level-0 slot and fill more
+  // upper-level buckets, each with more timers, than the ticker's pattern
+  // ever does together, which stocks the wheel's spare storage. Then the
+  // ticker runs for about 0.2 s (three laps of the wheel's level 1).
+  const SimTime t0 = rt.now();
+  for (int k = 1; k <= 256; ++k) {
+    for (int j = 0; j < 16; ++j) rt.schedule_at(t0 + usec(257 * k), [] {});
+  }
+  rt.schedule_at(t0 + usec(257 * 257), [&] { rt.stop(); });
+  rt.run();
+  stop_after = 2'400;
+  ticker.arm();
+  rt.run();
+  const std::uint64_t warm = scheduled;
+  const std::uint64_t before = allocs();
+  stop_after = warm + 10'008;
+  ticker.arm();
+  rt.run();
   const std::uint64_t during = allocs() - before;
   EXPECT_GE(scheduled - warm, 10'000u);
   EXPECT_EQ(during, 0u) << during << " allocations over "

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lod/net/network.hpp"
@@ -254,6 +258,50 @@ TYPED_TEST(TransportConformance, TimersFireInOrderAndCancel) {
   EXPECT_EQ(fired[1], 50);
 }
 
+/// Both backends queue timers on one TimingWheel, so equal deadlines break
+/// by schedule order everywhere, cancelled neighbours included.
+TYPED_TEST(TransportConformance, SameDeadlineTimersFireInScheduleOrder) {
+  Transport& t = this->h.transport();
+  std::vector<int> fired;
+  const SimTime at = t.now() + msec(20);
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(t.schedule_at(at, [&fired, i] { fired.push_back(i); }));
+  }
+  EXPECT_TRUE(t.cancel(ids[3]));
+
+  ASSERT_TRUE(this->h.run_until([&] { return fired.size() == 7; }));
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 4, 5, 6, 7}));
+}
+
+/// Timer ids name a reusable slab slot plus a generation: once a timer has
+/// fired or been cancelled its slot goes to a later timer, and the old id
+/// must neither cancel that timer nor be handed out again.
+TYPED_TEST(TransportConformance, StaleIdsDoNotCancelTimersThatReuseTheirSlots) {
+  Transport& t = this->h.transport();
+  constexpr int kN = 32;
+  std::vector<EventId> old_ids;
+  int old_fired = 0;
+  for (int i = 0; i < kN; ++i) {
+    old_ids.push_back(t.schedule_after(msec(1), [&] { ++old_fired; }));
+  }
+  for (int i = 0; i < kN; i += 2) EXPECT_TRUE(t.cancel(old_ids[i]));
+  ASSERT_TRUE(this->h.run_until([&] { return old_fired == kN / 2; }));
+
+  // Every old slot is free again; these timers take them over.
+  int fired = 0;
+  std::vector<EventId> new_ids;
+  for (int i = 0; i < kN; ++i) {
+    new_ids.push_back(t.schedule_after(msec(5), [&] { ++fired; }));
+  }
+  for (const EventId id : old_ids) {
+    EXPECT_FALSE(t.cancel(id));
+    EXPECT_EQ(std::count(new_ids.begin(), new_ids.end(), id), 0);
+  }
+  ASSERT_TRUE(this->h.run_until([&] { return fired == kN; }));
+  EXPECT_EQ(old_fired, kN / 2);
+}
+
 TYPED_TEST(TransportConformance, EndpointNamesRoundTrip) {
   Transport& t = this->h.transport();
   EXPECT_EQ(t.find_endpoint("alpha"), std::optional<HostId>(this->h.a));
@@ -308,6 +356,61 @@ TYPED_TEST(TransportConformance, OversizedDatagramIsRefusedCleanly) {
   ASSERT_TRUE(this->h.run_until([&] { return got.has_value(); }));
   EXPECT_EQ(string_of(got->payload), "after the giant");
   if (!sent) EXPECT_FALSE(got_big);
+}
+
+/// A foreign thread schedules and cancels while the loop fires: the wheel
+/// sits under RealTransport's timer mutex and scheduling kicks the loop
+/// through its eventfd. Exactly the timers left uncancelled fire, each
+/// once, on the loop thread.
+TEST(RealTransportTimers, ForeignThreadSchedulesAndCancelsWhileTheLoopRuns) {
+  RealTransport rt;
+  constexpr int kN = 2000;
+  std::vector<int> fires(kN, 0);
+  std::vector<bool> cancelled(kN, false);
+  std::atomic<bool> off_loop{false};
+  std::atomic<int> left{kN / 2};
+  std::thread loop([&] { rt.run(); });
+  const std::thread::id loop_id = loop.get_id();
+
+  auto timer = [&](int i, bool last) {
+    return [&, i, last] {
+      if (std::this_thread::get_id() != loop_id) off_loop = true;
+      ++fires[static_cast<std::size_t>(i)];
+      if (last) left.fetch_sub(1);
+    };
+  };
+  // Kept timers are due within milliseconds, so the loop fires them while
+  // this thread is still scheduling; doomed ones wait long enough for their
+  // cancel to win the race.
+  SimTime latest = rt.now();
+  for (int i = 0; i < kN; ++i) {
+    const bool keep = i % 2 == 1;
+    const SimTime at = rt.now() + (keep ? usec(10 * i) : msec(500));
+    latest = std::max(latest, at);
+    const EventId id = rt.schedule_at(at, timer(i, keep));
+    if (!keep) cancelled[static_cast<std::size_t>(i)] = rt.cancel(id);
+  }
+  std::atomic<bool> swept{false};
+  rt.schedule_at(latest + msec(10), [&] { swept = true; });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((left.load() > 0 || !swept.load()) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  rt.stop();
+  loop.join();
+
+  EXPECT_TRUE(swept.load());
+  EXPECT_EQ(left.load(), 0);
+  EXPECT_FALSE(off_loop.load());
+  int n_cancelled = 0;
+  for (int i = 0; i < kN; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    n_cancelled += cancelled[k] ? 1 : 0;
+    EXPECT_EQ(fires[k], cancelled[k] ? 0 : 1) << "timer " << i;
+  }
+  EXPECT_EQ(n_cancelled, kN / 2);
 }
 
 }  // namespace
