@@ -8,15 +8,18 @@
 // firing — recorder enabled and recorder disabled. The contract: both the
 // disabled path AND the recorder-ENABLED path cost < 2% over the
 // un-instrumented engine (the journal must be cheap enough to fly always-on).
-// Each configuration is timed in thread CPU time, in samples of >= 20 ms of
+// Each configuration is timed in thread CPU time on a thread pinned to one
+// core, interleaved play by play with the others in samples of >= 20 ms of
 // plays; the gate reads the median over rounds of each round's
 // configuration/baseline ratio. Exit is nonzero when the contract is violated.
 
+#include <sched.h>
 #include <time.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "lod/core/ocpn.hpp"
@@ -57,6 +60,28 @@ double per_play_s(Fn&& fn, int plays) {
   return (thread_cpu_s() - t0) / plays;
 }
 
+/// Configuration \p k (of 5) in play turn \p turn. A Williams design: over
+/// every 10 turns each configuration follows every other one exactly twice,
+/// so what one leaves behind in the caches and the heap (the enabled trace
+/// sink allocates a string per event) is charged to all of them alike.
+int turn_order(int turn, int k) {
+  constexpr int kBase[5] = {0, 1, 4, 2, 3};
+  const int row = turn % 10;
+  return (kBase[row >= 5 ? 4 - k : k] + row) % 5;
+}
+
+/// Pin the calling thread, and only it, to the core it is running on, so
+/// every configuration runs on the same core's caches and clock. Returns
+/// the core, or -1 when the thread could not be pinned.
+int pin_this_thread() {
+  const int cpu = sched_getcpu();
+  if (cpu < 0) return -1;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return sched_setaffinity(0, sizeof set, &set) == 0 ? cpu : -1;
+}
+
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t n = v.size();
@@ -69,6 +94,7 @@ int main() {
   constexpr int kChain = 10'000;
   constexpr std::size_t kMaxSteps = 1'000'000;
 
+  const int pinned_cpu = pin_this_thread();
   const auto compiled = build_ocpn(chain_spec(kChain));
   const Marking m0 = compiled.initial_marking();
 
@@ -92,12 +118,16 @@ int main() {
   flighted.flight = &hub.flight();
 
   // Each sample is at least kSampleS of thread CPU time, so timer
-  // resolution and a stray cache flush are small against it. Every round
-  // samples all five configurations back to back (in an order rotated per
-  // round) and divides each by that round's baseline, so frequency drift
-  // between rounds cancels; the gate reads the median ratio over rounds.
+  // resolution and a stray cache flush are small against it. A round plays
+  // all five configurations once each, in a balanced order that changes
+  // from play to play, until every configuration has a full sample; so
+  // frequency drift inside a round reaches every configuration alike. Each
+  // sample is divided by its round's baseline; the gate reads the median
+  // ratio over rounds. On a shared 4-vCPU VM a single play's time spreads
+  // by 5-20% (interquartile range over its median), so 125 rounds (~15 s)
+  // are needed to bring the median's run-to-run spread near half a point.
   constexpr double kSampleS = 0.020;
-  constexpr int kRounds = 31;
+  constexpr int kRounds = 125;
   std::int64_t sink_makespan = 0;
   /// One play; a null \p o is the plain 3-arg engine.
   const auto play_once = [&](const PlayObs* o) {
@@ -121,20 +151,23 @@ int main() {
       {"flight recorder disabled", false, false, &flighted},
   };
   constexpr int kConfigs = static_cast<int>(std::size(configs));
+  static_assert(kConfigs == 5, "turn_order balances five configurations");
   const double one_play_s = per_play_s([&] { play_once(nullptr); }, 3);
   const int plays_per_sample =
       std::max(1, static_cast<int>(std::ceil(kSampleS / one_play_s)));
+  int turn = 0;
   for (int round = 0; round < kRounds; ++round) {
-    double sample[kConfigs];
-    for (int k = 0; k < kConfigs; ++k) {
-      const int c = (round + k) % kConfigs;
-      hub.trace().set_enabled(configs[c].trace_on);
-      hub.flight().set_enabled(configs[c].flight_on);
-      sample[c] = per_play_s([&] { play_once(configs[c].obs); },
-                             plays_per_sample);
+    double sample[kConfigs] = {};
+    for (int j = 0; j < plays_per_sample; ++j, ++turn) {
+      for (int k = 0; k < kConfigs; ++k) {
+        const int c = turn_order(turn, k);
+        hub.trace().set_enabled(configs[c].trace_on);
+        hub.flight().set_enabled(configs[c].flight_on);
+        sample[c] += per_play_s([&] { play_once(configs[c].obs); }, 1);
+      }
     }
     for (int c = 0; c < kConfigs; ++c) {
-      configs[c].per_play_s.push_back(sample[c]);
+      configs[c].per_play_s.push_back(sample[c] / plays_per_sample);
       configs[c].ratio.push_back(sample[c] / sample[0]);
     }
   }
@@ -147,8 +180,11 @@ int main() {
   const double overhead_flight_off = overhead(4);
   std::printf("=== obs overhead on the playout engine (%d-object chain) ===\n\n",
               kChain);
-  std::printf("%d rounds x %d plays per sample, thread CPU time\n\n",
-              kRounds, plays_per_sample);
+  std::printf("%d rounds x %d plays per sample, interleaved play by play; "
+              "thread CPU time on %s\n\n",
+              kRounds, plays_per_sample,
+              pinned_cpu >= 0 ? ("core " + std::to_string(pinned_cpu)).c_str()
+                              : "an unpinned thread");
   std::printf("%-26s %12s %10s\n", "configuration", "median play",
               "overhead");
   for (int c = 0; c < kConfigs; ++c) {

@@ -1,6 +1,7 @@
 #include "lod/media/asf.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -253,24 +254,30 @@ void Demuxer::set_license(const DrmSystem* drm, License lic, std::string user) {
 
 void Demuxer::feed(const net::Payload& packet, net::SimTime local_now) {
   PacketDecoder dec(packet.view());  // throws before anything is fed
-  const std::byte* base = packet.data();
+  const std::size_t first_ready = ready_units_.size();
   PayloadView pl;
-  while (dec.next(pl)) {
-    accept(pl,
-           packet.slice(static_cast<std::size_t>(pl.data.data() - base),
-                        pl.data.size()),
-           local_now);
+  while (dec.next(pl)) accept(pl, pl.data, {}, local_now);
+  // A unit with bytes in more than one packet keeps each of them: one still
+  // assembling, and one completed here that began in an earlier packet
+  // (only such units have pieces). Units completed inside it borrow it.
+  for (Assembly& a : assembling_) {
+    if (a.active) a.unit.own(packet);
+  }
+  for (std::size_t i = first_ready; i < ready_units_.size(); ++i) {
+    if (ready_units_[i].pieces_) ready_units_[i].own(packet);
   }
 }
 
 void Demuxer::feed(const DataPacket& packet, net::SimTime local_now) {
   for (const auto& pl : packet.payloads) {
-    accept(pl, net::Payload::copy_of(pl.data), local_now);
+    net::Payload copy = net::Payload::copy_of(pl.data);
+    const auto bytes = copy.view();
+    accept(pl, bytes, std::move(copy), local_now);
   }
 }
 
-void Demuxer::accept(const PayloadHeader& pl, net::Payload bytes,
-                     net::SimTime local_now) {
+void Demuxer::accept(const PayloadHeader& pl, std::span<const std::byte> bytes,
+                     net::Payload owner, net::SimTime local_now) {
   auto it = std::find_if(
       assembling_.begin(), assembling_.end(),
       [&](const Assembly& x) { return x.stream_id == pl.stream_id; });
@@ -292,7 +299,7 @@ void Demuxer::accept(const PayloadHeader& pl, net::Payload bytes,
   }
   const std::size_t len = bytes.size();
   if (pl.offset + len <= a.object_size) {
-    a.unit.add(pl.offset, std::move(bytes));
+    a.unit.add(pl.offset, bytes, std::move(owner));
     a.received += static_cast<std::uint32_t>(len);
   }
   if (a.received >= a.object_size) {
@@ -326,8 +333,10 @@ void Demuxer::complete(Assembly& a, net::SimTime local_now) {
       ok = drm_->decrypt_with_license(*license_, user_, local_now, nonce,
                                       std::span<std::byte>(bytes));
       if (ok) {
+        net::Payload plain(std::move(bytes));
+        const auto view = plain.view();
         a.unit.clear();
-        a.unit.add(0, net::Payload(std::move(bytes)));
+        a.unit.add(0, view, std::move(plain));
       }
     }
     if (!ok) undecryptable_ = true;  // surfaced encrypted: render will fail
@@ -337,31 +346,64 @@ void Demuxer::complete(Assembly& a, net::SimTime local_now) {
 
 // --- DemuxedUnit ----------------------------------------------------------------
 
-void DemuxedUnit::add(std::uint32_t offset, net::Payload bytes) {
-  // A received slice always has a body, even when empty, so an ownerless
-  // first fragment means none has arrived yet.
-  if (first_.bytes.owners() == 0) {
-    first_ = Fragment{offset, std::move(bytes)};
+static_assert(sizeof(DemuxedUnit) <= 64, "a queued unit fits a cache line");
+
+std::vector<DemuxedUnit::Piece>& DemuxedUnit::pieces() {
+  if (!pieces_) {
+    pieces_ = std::make_unique<std::vector<Piece>>();
+    pieces_->reserve(4);  // a keyframe spans a few packets
+  }
+  return *pieces_;
+}
+
+void DemuxedUnit::add(std::uint32_t offset, std::span<const std::byte> bytes,
+                      net::Payload owner) {
+  if (bytes.empty()) return;
+  const Fragment f{offset, static_cast<std::uint32_t>(bytes.size()),
+                   bytes.data()};
+  if (!first_.data) {
+    first_ = f;
+    if (owner.owners() != 0) {
+      pieces().push_back({Fragment{}, std::move(owner)});
+    }
+  } else {
+    pieces().push_back({f, std::move(owner)});
+  }
+}
+
+void DemuxedUnit::own(const net::Payload& packet) {
+  const std::less<const std::byte*> before;
+  const auto views = [&](const Fragment& f) {
+    return f.data && !before(f.data, packet.data()) &&
+           before(f.data, packet.data() + packet.size());
+  };
+  // One reference per packet keeps all of the unit's bytes in it.
+  if (views(first_)) {
+    pieces().push_back({Fragment{}, packet});
     return;
   }
-  if (!rest_) rest_ = std::make_unique<std::vector<Fragment>>();
-  rest_->push_back(Fragment{offset, std::move(bytes)});
+  if (!pieces_) return;
+  for (Piece& p : *pieces_) {
+    if (views(p.fragment)) {
+      p.owner = packet;
+      return;
+    }
+  }
 }
 
 void DemuxedUnit::clear() {
   first_ = Fragment{};
-  rest_.reset();
+  pieces_.reset();
 }
 
 std::vector<std::byte> DemuxedUnit::data() const {
   std::vector<std::byte> out(meta.bytes, std::byte{0});
   auto put = [&out](const Fragment& f) {
-    const auto v = f.bytes.view();
-    std::copy(v.begin(), v.end(), out.begin() + f.offset);
+    std::copy(f.data, f.data + f.size, out.begin() + f.offset);
   };
-  if (first_.bytes.owners() != 0) put(first_);
-  if (rest_) {
-    for (const auto& f : *rest_) put(f);
+  if (first_.data) put(first_);
+  if (pieces_) {
+    for (const Piece& p : *pieces_) put(p.fragment);
   }
   return out;
 }
@@ -480,37 +522,62 @@ std::vector<std::byte> serialize_packet(const DataPacket& p) {
   return std::move(w).take();
 }
 
-PacketDecoder::PacketDecoder(std::span<const std::byte> bytes)
-    : bytes_(bytes) {
-  ByteReader r(bytes);
-  if (r.u32() != kPacketMagic) throw std::runtime_error("asf: bad packet magic");
-  send_time_ = {r.i64()};
-  pad_bytes_ = r.u32();
-  count_ = r.u32();
-  pos_ = r.offset();
-  // Walk every payload once so that next() cannot fail half way through.
-  const std::size_t first = pos_;
-  PayloadView v;
-  while (next(v)) {
+namespace {
+/// A little-endian field at \p p; the caller has bounds-checked it.
+template <typename T>
+T load_le(const std::byte* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i);
   }
-  yielded_ = 0;
-  pos_ = first;
+  return v;
+}
+}  // namespace
+
+PacketDecoder::PacketDecoder(std::span<const std::byte> bytes) {
+  const std::size_t size = bytes.size();
+  const std::byte* p = bytes.data();
+  if (size < 4) throw std::out_of_range("asf: truncated packet");
+  if (load_le<std::uint32_t>(p) != kPacketMagic) {
+    throw std::runtime_error("asf: bad packet magic");
+  }
+  if (size < kPacketWireHeader) {
+    throw std::out_of_range("asf: truncated packet");
+  }
+  send_time_ = {static_cast<std::int64_t>(load_le<std::uint64_t>(p + 4))};
+  pad_bytes_ = load_le<std::uint32_t>(p + 12);
+  count_ = load_le<std::uint32_t>(p + 16);
+  pos_ = p + kPacketWireHeader;
+  // One check per payload: its fixed header, then the data length the
+  // header's last field declares, must fit in what is left.
+  std::size_t at = kPacketWireHeader;
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    if (size - at < kPayloadWireHeader) {
+      throw std::out_of_range("asf: truncated payload header");
+    }
+    const auto n =
+        load_le<std::uint32_t>(p + at + kPayloadWireHeader - 4);
+    if (size - at - kPayloadWireHeader < n) {
+      throw std::out_of_range("asf: payload runs past the packet");
+    }
+    at += kPayloadWireHeader + n;
+  }
 }
 
 bool PacketDecoder::next(PayloadView& out) {
   if (yielded_ == count_) return false;
-  ByteReader r(bytes_.subspan(pos_));
-  out.stream_id = r.u16();
-  out.type = static_cast<MediaType>(r.u8());
-  out.pts = {r.i64()};
-  out.duration = {r.i64()};
-  out.keyframe = r.u8() != 0;
-  out.object_id = r.u32();
-  out.offset = r.u32();
-  out.object_size = r.u32();
-  const std::uint32_t n = r.u32();
-  out.data = r.raw(n);
-  pos_ += r.offset();
+  const std::byte* p = pos_;
+  out.stream_id = load_le<std::uint16_t>(p);
+  out.type = static_cast<MediaType>(p[2]);
+  out.pts = {static_cast<std::int64_t>(load_le<std::uint64_t>(p + 3))};
+  out.duration = {static_cast<std::int64_t>(load_le<std::uint64_t>(p + 11))};
+  out.keyframe = p[19] != std::byte{0};
+  out.object_id = load_le<std::uint32_t>(p + 20);
+  out.offset = load_le<std::uint32_t>(p + 24);
+  out.object_size = load_le<std::uint32_t>(p + 28);
+  const std::uint32_t n = load_le<std::uint32_t>(p + 32);
+  out.data = {p + kPayloadWireHeader, n};
+  pos_ = p + kPayloadWireHeader + n;
   ++yielded_;
   return true;
 }

@@ -160,9 +160,12 @@ class Muxer {
 
 /// A reassembled access unit as produced by the demuxer.
 ///
-/// Ownership rule: unit bytes are slices until read. The fragments stay
-/// refcounted views of the packets they arrived in; `data()` joins them on
-/// demand, so a consumer that needs only `meta` (the player) copies no media.
+/// Ownership rule: unit bytes are borrowed until they must outlive their
+/// packet. A unit completed inside the serialized packet being fed views
+/// that packet's bytes and holds no reference to it, so a consumer that
+/// needs only `meta` (the player) touches no refcount; read `data()` while
+/// the fed packet is alive. A unit that spans packets keeps every packet it
+/// arrived in, and a decrypted unit owns its plaintext.
 class DemuxedUnit {
  public:
   EncodedUnit meta;
@@ -173,18 +176,34 @@ class DemuxedUnit {
 
  private:
   friend class Demuxer;
+  /// `size` bytes at `offset` within the unit, viewed at `data`: inside the
+  /// packet being fed, or inside a payload the unit keeps.
   struct Fragment {
     std::uint32_t offset{0};
-    net::Payload bytes;
+    std::uint32_t size{0};
+    const std::byte* data{nullptr};
   };
-  void add(std::uint32_t offset, net::Payload bytes);
+  /// A fragment after the first (or none), and a payload that keeps some
+  /// of the unit's bytes alive (or none).
+  struct Piece {
+    Fragment fragment;
+    net::Payload owner;
+  };
+  /// Add \p bytes at \p offset; a non-null \p owner holds them. Empty
+  /// fragments add nothing to the unit's bytes and are not kept.
+  void add(std::uint32_t offset, std::span<const std::byte> bytes,
+           net::Payload owner);
+  /// Keep \p packet, the packet being fed, if a fragment views it.
+  void own(const net::Payload& packet);
   void clear();
+  std::vector<Piece>& pieces();
 
-  // Most units arrive in one packet: the first fragment lives inline, and
-  // only units split across packets allocate the rest. The demuxer queues
-  // these by the packetful, so the unit is kept small.
+  // Most units arrive whole in one packet: the first fragment lives inline
+  // and nothing is allocated. The demuxer queues units by the packetful,
+  // so a unit is kept to 64 bytes. Only a unit that spans packets or owns
+  // its bytes allocates pieces.
   Fragment first_;
-  std::unique_ptr<std::vector<Fragment>> rest_;
+  std::unique_ptr<std::vector<Piece>> pieces_;
 };
 
 /// Incremental demuxer: feed packets (in order received), pull out complete
@@ -202,12 +221,14 @@ class Demuxer {
   /// demuxer still reassembles but leaves payloads encrypted and flags it.
   void set_license(const DrmSystem* drm, License lic, std::string user);
 
-  /// Feed one serialized packet as received. Unit bytes become slices of
-  /// \p packet; nothing is copied. A malformed packet throws (see
-  /// `PacketDecoder`) before any of it is fed.
+  /// Feed one serialized packet as received. Nothing is copied: units
+  /// completed inside \p packet borrow its bytes, and only a unit with
+  /// bytes in more than one packet takes a reference to each. A malformed
+  /// packet throws (see `PacketDecoder`) before any of it is fed.
   void feed(const net::Payload& packet, net::SimTime local_now = {});
-  /// Feed one in-memory packet. Each payload's bytes are copied into a slice
-  /// of their own; otherwise identical to feeding its serialized form.
+  /// Feed one in-memory packet. Each payload's bytes are copied into a
+  /// `net::Payload` of their own, which the unit keeps; otherwise identical
+  /// to feeding its serialized form.
   void feed(const DataPacket& packet, net::SimTime local_now = {});
 
   /// Pull the next completed media unit (pts order within arrival order).
@@ -229,9 +250,11 @@ class Demuxer {
     DemuxedUnit unit;
   };
 
-  /// Add one payload whose bytes are \p bytes to its unit's assembly.
-  void accept(const PayloadHeader& pl, net::Payload bytes,
-              net::SimTime local_now);
+  /// Add one payload whose bytes are \p bytes (kept alive by \p owner, or
+  /// borrowed from the packet being fed when it is null) to its unit's
+  /// assembly.
+  void accept(const PayloadHeader& pl, std::span<const std::byte> bytes,
+              net::Payload owner, net::SimTime local_now);
   void complete(Assembly& a, net::SimTime local_now);
 
   bool protected_{false};
@@ -268,10 +291,12 @@ void write_packet(net::ByteWriter& w, const DataPacket& p);
 /// Size in bytes of `serialize_packet(p)`.
 std::size_t packet_wire_size(const DataPacket& p);
 
-/// The one decoder of serialized data packets. The constructor bounds-checks
-/// the whole packet, throwing `std::runtime_error` on a bad magic and
-/// `std::out_of_range` on truncation; `next()` then walks the payloads in
-/// place, yielding views into \p bytes without copying or allocating. The
+/// The one decoder of serialized data packets. Every payload header has a
+/// fixed wire size, so the constructor validates the whole packet with one
+/// bounds check per payload (its header plus the data length it declares),
+/// throwing `std::runtime_error` on a bad magic and `std::out_of_range` on
+/// truncation; `next()` then decodes the payloads in place without checking
+/// again, yielding views into \p bytes without copying or allocating. The
 /// bytes must outlive the decoder and the views.
 class PacketDecoder {
  public:
@@ -285,12 +310,11 @@ class PacketDecoder {
   bool next(PayloadView& out);
 
  private:
-  std::span<const std::byte> bytes_;
+  const std::byte* pos_{nullptr};  ///< the next payload's header
   SimDuration send_time_{};
   std::uint32_t pad_bytes_{0};
   std::uint32_t count_{0};
   std::uint32_t yielded_{0};
-  std::size_t pos_{0};  ///< offset of the next payload
 };
 
 std::vector<std::byte> serialize_header(const Header& h);

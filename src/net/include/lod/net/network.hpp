@@ -1,11 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lod/net/clock.hpp"
@@ -172,25 +172,47 @@ class Network : public Transport {
     std::size_t queued_bytes{0};       ///< bytes waiting for the serializer
     std::int64_t reserved_bps{0};      ///< sum of channel reservations
   };
+  /// A host's receivers, in pages of 256 ports allocated when a port in
+  /// their range is first bound: a lookup is two array indexes, and a host
+  /// that binds a few ports holds a page or two. Pages never move, so a
+  /// receiver may bind more ports while it runs.
+  struct PortTable {
+    using Page = std::array<Receiver, 256>;
+    std::vector<std::unique_ptr<Page>> pages;  ///< indexed by port / 256
+
+    /// The bound receiver of \p port, or null.
+    Receiver* find(Port port) {
+      const std::size_t page = port >> 8;
+      if (page >= pages.size() || !pages[page]) return nullptr;
+      Receiver& r = (*pages[page])[port & 0xff];
+      return r ? &r : nullptr;
+    }
+    /// \p port's slot, allocating its page.
+    Receiver& slot(Port port);
+  };
   struct HostState {
     std::string name;
     HostClock clock;
-    std::unordered_map<Port, Receiver> ports;
+    PortTable ports;
     std::vector<HostId> neighbors;
-  };
-  /// A reservation plus its serializer on each link direction it has
-  /// carried traffic over: (link, busy-until) pairs, the reserved path's
-  /// directions from the start. Paths are a few hops, so a scan finds one.
-  struct Channel {
-    ChannelReservation info;
-    std::vector<std::pair<std::uint32_t, SimTime>> busy_until;
-    SimTime& busy(std::uint32_t link);
   };
   /// A path's hosts and the link direction of each hop (`links[i]` carries
   /// hosts[i] -> hosts[i + 1]), so forwarding indexes `links_` directly.
   struct Route {
     std::vector<HostId> hosts;
     std::vector<std::uint32_t> links;
+  };
+  /// A reservation plus its serializer on each link direction it has
+  /// carried traffic over: (link, busy-until) pairs, the reserved path's
+  /// directions first and in path order. The serializers lead, so the
+  /// per-hop reads share a cache line.
+  struct Channel {
+    std::vector<std::pair<std::uint32_t, SimTime>> busy_until;
+    ChannelReservation info;
+    /// The serializer of \p link, crossed at hop \p hop of a datagram's
+    /// route: an index on the reserved path, else a scan (adding one for a
+    /// link the channel has not carried traffic over).
+    SimTime& busy(std::uint32_t link, std::uint32_t hop);
   };
   using Path = std::shared_ptr<const Route>;
   /// One datagram in flight, from `send` to delivery or drop, in the hop
@@ -223,6 +245,10 @@ class Network : public Transport {
   void forward(std::uint32_t slot);
   void arrive(std::uint32_t slot);
   void deliver(const Packet& p);
+  /// The live reservation \p id, or null (released, or never reserved).
+  Channel* find_channel(ChannelId id) const {
+    return id < channels_.size() ? channels_[id].get() : nullptr;
+  }
 
   Simulator& sim_;
   Rng rng_;
@@ -243,7 +269,13 @@ class Network : public Transport {
   mutable std::vector<Path> routes_;
   std::vector<Hop> hops_;
   std::vector<std::uint32_t> free_hops_;  ///< recycled hop slots, LIFO
-  std::unordered_map<ChannelId, Channel> channels_;
+  /// Reservations indexed by id. Ids are never reused, so a released
+  /// reservation leaves a null entry (8 bytes) for the network's lifetime.
+  std::vector<std::unique_ptr<Channel>> channels_;
+  /// The receiver `deliver` is running, and the one a bind or unbind of its
+  /// own port replaced while it ran: destroyed once it returns.
+  Receiver* delivering_{nullptr};
+  Receiver retired_;
   ChannelId next_channel_{1};
   std::uint64_t next_packet_{1};
 };

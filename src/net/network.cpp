@@ -72,11 +72,25 @@ const Network::LinkDir* Network::find_dir(HostId from, HostId to) const {
   return i == kNoLink ? nullptr : &links_[i];
 }
 
-void Network::bind(HostId h, Port port, Receiver r) {
-  hosts_.at(h).ports[port] = std::move(r);
+Network::Receiver& Network::PortTable::slot(Port port) {
+  const std::size_t page = port >> 8;
+  if (page >= pages.size()) pages.resize(page + 1);
+  if (!pages[page]) pages[page] = std::make_unique<Page>();
+  return (*pages[page])[port & 0xff];
 }
 
-void Network::unbind(HostId h, Port port) { hosts_.at(h).ports.erase(port); }
+void Network::bind(HostId h, Port port, Receiver r) {
+  Receiver& slot = hosts_.at(h).ports.slot(port);
+  if (&slot == delivering_ && !retired_) retired_ = std::move(slot);
+  slot = std::move(r);
+}
+
+void Network::unbind(HostId h, Port port) {
+  Receiver* r = hosts_.at(h).ports.find(port);
+  if (!r) return;
+  if (r == delivering_ && !retired_) retired_ = std::move(*r);
+  *r = nullptr;
+}
 
 std::vector<HostId> Network::route(HostId a, HostId b) const {
   if (a >= hosts_.size() || b >= hosts_.size()) return {};
@@ -198,15 +212,15 @@ void Network::forward(std::uint32_t slot) {
 
   const SimTime now = sim_.now();
   SimTime depart;
-  auto ch = p.channel != 0 ? channels_.find(p.channel) : channels_.end();
-  h.best_effort = ch == channels_.end();
+  // A reservation released in flight leaves the rest of the path best-effort.
+  Channel* ch = find_channel(p.channel);
+  h.best_effort = ch == nullptr;
   if (!h.best_effort) {
     // Reserved-rate serialization: the channel has its own serializer slice
     // and never competes with best-effort traffic.
-    SimTime& busy = ch->second.busy(h.link);
+    SimTime& busy = ch->busy(h.link, h.hop_index);
     const SimTime start = std::max(now, busy);
-    const std::int64_t bps =
-        std::max<std::int64_t>(ch->second.info.rate_bps, 1);
+    const std::int64_t bps = std::max<std::int64_t>(ch->info.rate_bps, 1);
     const SimDuration tx{static_cast<std::int64_t>(p.wire_size) * 8'000'000 /
                          bps};
     busy = start + tx;
@@ -277,9 +291,12 @@ void Network::deliver(const Packet& p) {
     trace_->emit(obs::EventType::kPacketRecv, p.dst,
                  static_cast<std::int64_t>(p.id), p.wire_size);
   }
-  auto& host = hosts_.at(p.dst);
-  auto it = host.ports.find(p.dst_port);
-  if (it != host.ports.end() && it->second) it->second(p);
+  Receiver* r = hosts_[p.dst].ports.find(p.dst_port);
+  if (!r) return;
+  delivering_ = r;
+  (*r)(p);
+  delivering_ = nullptr;
+  if (retired_) retired_ = nullptr;
 }
 
 std::optional<ChannelId> Network::reserve_channel(HostId src, HostId dst,
@@ -296,8 +313,8 @@ std::optional<ChannelId> Network::reserve_channel(HostId src, HostId dst,
     const LinkDir& d = links_[link];
     if (d.reserved_bps + rate_bps > d.cfg.bandwidth_bps) return std::nullopt;
   }
-  Channel ch;
-  ChannelReservation& res = ch.info;
+  auto ch = std::make_unique<Channel>();
+  ChannelReservation& res = ch->info;
   res.id = next_channel_++;
   res.src = src;
   res.dst = dst;
@@ -305,14 +322,18 @@ std::optional<ChannelId> Network::reserve_channel(HostId src, HostId dst,
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     links_[route.links[i]].reserved_bps += rate_bps;
     res.path.emplace_back(path[i], path[i + 1]);
-    ch.busy_until.emplace_back(route.links[i], SimTime{});
+    ch->busy_until.emplace_back(route.links[i], SimTime{});
   }
   const ChannelId id = res.id;
-  channels_.emplace(id, std::move(ch));
+  if (channels_.size() <= id) channels_.resize(id + 1);
+  channels_[id] = std::move(ch);
   return id;
 }
 
-SimTime& Network::Channel::busy(std::uint32_t link) {
+SimTime& Network::Channel::busy(std::uint32_t link, std::uint32_t hop) {
+  if (hop < busy_until.size() && busy_until[hop].first == link) {
+    return busy_until[hop].second;
+  }
   for (auto& [l, t] : busy_until) {
     if (l == link) return t;
   }
@@ -320,19 +341,19 @@ SimTime& Network::Channel::busy(std::uint32_t link) {
 }
 
 void Network::release_channel(ChannelId id) {
-  auto it = channels_.find(id);
-  if (it == channels_.end()) return;
-  const ChannelReservation& res = it->second.info;
+  const Channel* ch = find_channel(id);
+  if (!ch) return;
+  const ChannelReservation& res = ch->info;
   for (auto [from, to] : res.path) {
     if (LinkDir* d = find_dir(from, to)) d->reserved_bps -= res.rate_bps;
   }
-  channels_.erase(it);
+  channels_[id].reset();
 }
 
 bool Network::resize_channel(ChannelId id, std::int64_t new_rate_bps) {
-  auto it = channels_.find(id);
-  if (it == channels_.end() || new_rate_bps <= 0) return false;
-  ChannelReservation& res = it->second.info;
+  Channel* ch = find_channel(id);
+  if (!ch || new_rate_bps <= 0) return false;
+  ChannelReservation& res = ch->info;
   const std::int64_t delta = new_rate_bps - res.rate_bps;
   if (delta > 0) {
     for (auto [from, to] : res.path) {
@@ -346,14 +367,14 @@ bool Network::resize_channel(ChannelId id, std::int64_t new_rate_bps) {
 }
 
 std::optional<ChannelReservation> Network::channel_info(ChannelId id) const {
-  auto it = channels_.find(id);
-  if (it == channels_.end()) return std::nullopt;
-  return it->second.info;
+  const Channel* ch = find_channel(id);
+  if (!ch) return std::nullopt;
+  return ch->info;
 }
 
 std::int64_t Network::channel_rate_bps(ChannelId id) const {
-  auto it = channels_.find(id);
-  return it == channels_.end() ? 0 : it->second.info.rate_bps;
+  const Channel* ch = find_channel(id);
+  return ch ? ch->info.rate_bps : 0;
 }
 
 std::optional<HostId> Network::find_endpoint(std::string_view name) const {

@@ -199,7 +199,7 @@ class SessionEngine {
   /// A session event for the trace sink, when it is enabled.
   void trace(obs::EventType type, const Session& s, std::int64_t b = 0);
   void schedule_next(Session& s);
-  void fire(std::uint64_t id);
+  void fire(Session& s);
 
   double fast_start_multiplier_;
   std::string role_;

@@ -634,9 +634,8 @@ void Player::handle_data(const net::Datagram& p) {
   } catch (const std::exception&) {
     return;  // malformed datagram: drop
   }
-  // The packet bytes ride as the shared body attachment, a zero-copy view;
-  // parsing waits until ingest.
-  net::Payload bytes = p.body;
+  // The packet bytes ride as the shared body attachment; parsing waits
+  // until ingest, and only repair mode's reorder buffer keeps a reference.
   ++packets_received_;
   m_packets_received_.inc();
   if (static_cast<std::int64_t>(index) > max_index_seen_) {
@@ -671,14 +670,14 @@ void Player::handle_data(const net::Datagram& p) {
   }
 
   if (!cfg_.repair_losses || live_) {
-    ingest_bytes(bytes);
+    ingest_bytes(p.body);
     return;
   }
   // Repair mode: hold out-of-order packets so the demuxer sees a contiguous
   // stream; give a NACKed hole a grace period before skipping it.
   if (next_feed_ < 0) next_feed_ = static_cast<std::int64_t>(index);
   if (static_cast<std::int64_t>(index) < next_feed_) return;  // stale
-  reorder_.emplace(index, std::move(bytes));
+  reorder_.emplace(index, p.body);
   drain_reorder();
   if (!reorder_.empty()) arm_hole_timer();
 }
@@ -755,7 +754,7 @@ void Player::ingest_bytes(const net::Payload& bytes) {
   }
   if (demux_->undecryptable()) drm_blocked_ = true;
 
-  // Only what rendering needs is kept: the unit's byte slices die with `u`.
+  // Only what rendering needs is kept; the units borrow `bytes`.
   while (auto u = demux_->next_unit()) {
     if (discard_below_.us >= 0 && u->meta.pts < discard_below_) continue;
     if (drm_blocked_) continue;  // cannot render protected media

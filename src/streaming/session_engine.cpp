@@ -316,33 +316,33 @@ void SessionEngine::schedule_next(Session& s) {
   const net::SimTime now = net_.now();
   if (due < now) due = now;
   s.timer_due = due;
-  s.timer = net_.schedule_at(due, [this, sid = s.id] { fire(sid); });
+  // The table's nodes never move, and every way out of it (`end`, the
+  // destructor) cancels this timer first, so it may hold the session.
+  s.timer = net_.schedule_at(due, [this, &s] { fire(s); });
 }
 
-void SessionEngine::fire(std::uint64_t id) {
-  Session* s = find(id);
-  if (!s || s->paused || s->parked || !s->source) return;
-  s->timer.reset();
-  const std::uint32_t idx = s->next_packet;
+void SessionEngine::fire(Session& s) {
+  s.timer.reset();
+  const std::uint32_t idx = s.next_packet;
   // The source may have shrunk since the timer was armed (a republished
   // file): such a session has reached its end of stream.
-  if (idx < s->source->packet_count()) {
-    const net::Payload* bytes = s->source->packet(idx);
+  if (idx < s.source->packet_count()) {
+    const net::Payload* bytes = s.source->packet(idx);
     if (!bytes) {
       // Miss: park on the fill; it resumes the session, which then catches
       // up under the burst cap.
-      s->parked = s->source->park(id, idx, s->ctx);
+      s.parked = s.source->park(s.id, idx, s.ctx);
       return;
     }
     // The scheduled send time, not now(): a late timer must not delay the
     // rest of the burst. A session resumed by a fill was re-armed no
     // earlier than the fill, so its limiter still counts from then.
-    s->last_send = s->timer_due;
-    send_packet(*s, *bytes, idx);
-    ++s->next_packet;
-    s->source->playhead_moved(s->next_packet, /*jump=*/false);
+    s.last_send = s.timer_due;
+    send_packet(s, *bytes, idx);
+    ++s.next_packet;
+    s.source->playhead_moved(s.next_packet, /*jump=*/false);
   }
-  schedule_next(*s);
+  schedule_next(s);
 }
 
 void SessionEngine::unpark(std::uint64_t session, std::uint32_t token) {

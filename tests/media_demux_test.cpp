@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "lod/media/asf.hpp"
 #include "lod/media/drm.hpp"
@@ -68,6 +69,8 @@ File lecture(const DrmSystem* drm = nullptr, const KeyId& key = {}) {
 }
 
 struct Decoded {
+  /// The serialized packets fed; units completed inside one borrow it.
+  std::vector<net::Payload> wire;
   std::vector<DemuxedUnit> units;
   std::vector<ScriptCommand> scripts;
   std::uint64_t dropped_incomplete{0};
@@ -84,7 +87,7 @@ Decoded demux(const File& f, const std::vector<DataPacket>& packets,
   Decoded out;
   for (const auto& p : packets) {
     if (from_bytes) {
-      d.feed(net::Payload{serialize_packet(p)});
+      d.feed(out.wire.emplace_back(serialize_packet(p)));
     } else {
       d.feed(p);
     }
@@ -135,6 +138,32 @@ TEST(DemuxPaths, PlainLectureWithScriptsAndFragmentedUnits) {
   EXPECT_EQ(d.units.size(), 260u);
   EXPECT_EQ(d.scripts.size(), 3u);
   expect_bytes_path_matches(f, f.packets);
+}
+
+TEST(DemuxPaths, UnitsSpanningPacketsOutliveThePacketsTheyCameIn) {
+  // Each packet is dropped right after it is fed: the 4000-byte keyframes,
+  // split over three packets each, must keep the bytes they need.
+  const File f = lecture();
+  const Decoded ref = demux(f, f.packets, /*from_bytes=*/false);
+  Demuxer d(f.header);
+  std::vector<DemuxedUnit> kept;
+  std::vector<std::size_t> at;
+  std::size_t n = 0;
+  for (const auto& p : f.packets) {
+    d.feed(net::Payload{serialize_packet(p)});
+    while (auto u = d.next_unit()) {
+      if (u->meta.bytes > f.header.props.packet_bytes) {
+        kept.push_back(std::move(*u));
+        at.push_back(n);
+      }
+      ++n;
+    }
+  }
+  ASSERT_EQ(n, ref.units.size());
+  ASSERT_EQ(kept.size(), 12u);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].data(), ref.units[at[i]].data()) << i;
+  }
 }
 
 TEST(DemuxPaths, DroppedPacketsDropTheSameUnits) {
@@ -198,6 +227,24 @@ TEST(DemuxPaths, BytesPathCopiesNoMediaUntilRead) {
   EXPECT_EQ(net::Payload::stats().copies, 0u);
 }
 
+void put_u32(std::vector<std::byte>& b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) b[at + i] = static_cast<std::byte>(v >> (8 * i));
+}
+
+/// \p bytes must throw \p E from every entry point, and feed nothing.
+template <typename E>
+void expect_rejected(const std::vector<std::byte>& bytes,
+                     const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_THROW(PacketDecoder{bytes}, E);
+  EXPECT_THROW(parse_packet(bytes), E);
+  Demuxer d(lecture_header());
+  EXPECT_THROW(d.feed(net::Payload{bytes}), E);
+  EXPECT_FALSE(d.next_unit().has_value());
+  EXPECT_FALSE(d.next_script().has_value());
+  EXPECT_EQ(d.dropped_incomplete(), 0u);
+}
+
 TEST(DemuxPaths, MalformedPacketIsRejectedBeforeAnythingIsFed) {
   const File f = lecture();
   Demuxer d(f.header);
@@ -216,6 +263,44 @@ TEST(DemuxPaths, MalformedPacketIsRejectedBeforeAnythingIsFed) {
   EXPECT_FALSE(d.next_unit().has_value());
   EXPECT_FALSE(d.next_script().has_value());
   EXPECT_EQ(d.dropped_incomplete(), 0u);
+
+  // Hostile rows, all on that multi-payload packet. Payload i's header
+  // starts at `at[i]`; its data length is the header's last field.
+  const std::vector<std::byte> good = serialize_packet(*it);
+  std::vector<std::size_t> at{20};
+  for (const Payload& pl : it->payloads) {
+    at.push_back(at.back() + 36 + pl.data.size());
+  }
+  ASSERT_EQ(at.back(), good.size());
+  const std::size_t last = it->payloads.size() - 1;
+  const std::size_t len_at = at[last] + 32;
+
+  // Every truncation point.
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    const std::vector<std::byte> cut(good.begin(), good.begin() + n);
+    expect_rejected<std::out_of_range>(cut, "cut at " + std::to_string(n));
+  }
+  // A payload length that runs one byte past the end.
+  auto past = good;
+  put_u32(past, len_at,
+          static_cast<std::uint32_t>(it->payloads[last].data.size() + 1));
+  expect_rejected<std::out_of_range>(past, "length past the end");
+  // Lengths near UINT32_MAX, where offset + length wraps in 32 bits.
+  const std::uint32_t max = 0xFFFFFFFFu;
+  for (const std::uint32_t n :
+       {max, max - 35u, max - static_cast<std::uint32_t>(at[last])}) {
+    const std::string what = "length " + std::to_string(n);
+    auto wrap = good;
+    put_u32(wrap, len_at, n);
+    expect_rejected<std::out_of_range>(wrap, "last payload's " + what);
+    auto first = good;
+    put_u32(first, at[0] + 32, n);
+    expect_rejected<std::out_of_range>(first, "first payload's " + what);
+  }
+  // A payload count one larger than the payloads present.
+  auto count = good;
+  put_u32(count, 16, static_cast<std::uint32_t>(it->payloads.size() + 1));
+  expect_rejected<std::out_of_range>(count, "count + 1");
 }
 
 TEST(PacketCodec, WriterAndSizeAgreeWithSerialize) {
@@ -251,10 +336,6 @@ TEST(PacketCodec, DecoderYieldsViewsIntoThePacket) {
 }
 
 // --- hostile element counts ---------------------------------------------------------
-
-void put_u32(std::vector<std::byte>& b, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) b[at + i] = static_cast<std::byte>(v >> (8 * i));
-}
 
 constexpr std::uint32_t kHostile = 0xFFFFFFFF;
 

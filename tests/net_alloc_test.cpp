@@ -1,4 +1,5 @@
-// Allocation guard for the event, timer and datagram paths of both backends.
+// Allocation guard for the event, timer and datagram paths of both backends,
+// and for the player's demux of received packets.
 //
 // This binary replaces the global operator new/delete with counting
 // versions, so it must stay its own executable: the counters see every
@@ -23,7 +24,9 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <vector>
 
+#include "lod/media/asf.hpp"
 #include "lod/net/bytes.hpp"
 #include "lod/net/network.hpp"
 #include "lod/net/payload.hpp"
@@ -40,8 +43,15 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
+// The nothrow form too (std::stable_sort's temporary buffer uses it), so
+// every allocation is counted and freed by the matching replacement.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace lod::net {
 namespace {
@@ -103,6 +113,99 @@ TEST(NetAlloc, ForwardingOverThreeHopsAllocatesNothing) {
   const std::uint64_t hops = 3 * (delivered - warm);
   EXPECT_EQ(delivered - warm, 10'000u);
   EXPECT_EQ(during, 0u) << during << " allocations over " << hops << " hops";
+}
+
+TEST(NetAlloc, ThreeHopSendOnAReservedChannelAllocatesNothing) {
+  Simulator sim;
+  Network net(sim);
+  const HostId a = net.add_host("a");
+  const HostId b = net.add_host("b");
+  const HostId c = net.add_host("c");
+  const HostId d = net.add_host("d");
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 100'000'000;
+  cfg.latency = usec(150);
+  net.add_link(a, b, cfg);
+  net.add_link(b, c, cfg);
+  net.add_link(c, d, cfg);
+  const auto channel = net.reserve_channel(a, d, 20'000'000);
+  ASSERT_TRUE(channel.has_value());
+
+  std::uint64_t delivered = 0;
+  net.bind(d, 9, [&](const Datagram&) { ++delivered; });
+  Datagram proto;
+  proto.src = a;
+  proto.dst = d;
+  proto.dst_port = 9;
+  proto.channel = *channel;
+  proto.payload = Payload::copy_of(std::array<std::byte, 24>{});
+  proto.body = Payload::copy_of(std::array<std::byte, 1000>{});
+  proto.wire_size = 1052;
+  Ticker ticker{sim, [&] { net.send(proto); }};
+  ticker.arm();
+
+  sim.run_until(SimTime{kWarmUntilUs});
+  const std::uint64_t warm = delivered;
+  ASSERT_GT(warm, 16'000u);
+
+  const std::uint64_t before = allocs();
+  sim.run_until(SimTime{kWarmUntilUs + 10'000 * kPeriodUs});
+  const std::uint64_t during = allocs() - before;
+  EXPECT_EQ(delivered - warm, 10'000u);
+  EXPECT_EQ(during, 0u) << during << " allocations over "
+                        << 3 * (delivered - warm) << " hops";
+}
+
+TEST(NetAlloc, DemuxingSinglePacketUnitsAllocatesAndReferencesNothing) {
+  // Audio units of 150 bytes: eight whole units fill each packet's 1388
+  // bytes of room (23 bytes of framing each), and none fragments.
+  namespace asf = media::asf;
+  asf::Header h;
+  h.props.packet_bytes = 1400;
+  h.streams.push_back(
+      {2, media::MediaType::kAudio, "WMA", 64'000, 0, 0, 44'100});
+  asf::Muxer mux(h);
+  for (int i = 0; i < 400; ++i) {
+    media::EncodedUnit u;
+    u.stream_id = 2;
+    u.type = media::MediaType::kAudio;
+    u.pts = usec(20'000 * i);
+    u.duration = usec(20'000);
+    u.bytes = 150;
+    u.keyframe = true;
+    mux.add_unit(u);
+  }
+  const asf::File f = mux.finalize();
+  std::vector<Payload> wire;
+  for (const auto& p : f.packets) {
+    ASSERT_GE(p.payloads.size(), 2u);
+    for (const auto& pl : p.payloads) {
+      ASSERT_EQ(pl.data.size(), pl.object_size);  // whole units only
+    }
+    wire.emplace_back(asf::serialize_packet(p));
+  }
+
+  asf::Demuxer demux(h);
+  std::uint64_t units = 0;
+  auto feed_all = [&] {
+    for (const Payload& w : wire) {
+      const long owners = w.owners();
+      demux.feed(w);
+      EXPECT_EQ(w.owners(), owners);  // the units borrow the packet
+      while (auto u = demux.next_unit()) {
+        EXPECT_EQ(w.owners(), owners);
+        ++units;
+      }
+      EXPECT_EQ(w.owners(), owners);
+    }
+  };
+  feed_all();  // warm: the demuxer's assembly and ready queue
+  ASSERT_EQ(units, 400u);
+  const std::uint64_t before = allocs();
+  feed_all();
+  const std::uint64_t during = allocs() - before;
+  EXPECT_EQ(units, 800u);
+  EXPECT_EQ(during, 0u) << during << " allocations over 400 units";
 }
 
 TEST(NetAlloc, InlineTimersAllocateNothingToScheduleAndFire) {

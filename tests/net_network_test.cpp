@@ -352,6 +352,127 @@ TEST(ChannelMultiHop, ReservesEveryHop) {
   EXPECT_EQ(ch ? net.channel_info(*ch)->path.size() : 0u, 2u);
 }
 
+TEST(ChannelMultiHop, OffPathSendsShareLinkSerializersAndReleaseIsBestEffort) {
+  // a - b - c at 8 Mb/s with no latency; the channel a -> c runs at 4 Mb/s,
+  // so 1000 bytes take 2 ms per hop on it and 1 ms best-effort.
+  Simulator sim;
+  Network net(sim);
+  const HostId a = net.add_host("a");
+  const HostId b = net.add_host("b");
+  const HostId c = net.add_host("c");
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 8'000'000;
+  cfg.latency = msec(0);
+  net.add_link(a, b, cfg);
+  net.add_link(b, c, cfg);
+  std::vector<std::pair<Port, SimTime>> got;
+  for (const Port port : {Port{1}, Port{2}, Port{3}, Port{4}}) {
+    net.bind(c, port, [&got, &sim, port](const Packet&) {
+      got.emplace_back(port, sim.now());
+    });
+  }
+  const auto ch = net.reserve_channel(a, c, 4'000'000);
+  ASSERT_TRUE(ch.has_value());
+  auto send = [&](HostId src, Port port, ChannelId channel) {
+    Packet p;
+    p.src = src;
+    p.dst = c;
+    p.dst_port = port;
+    p.wire_size = 1000;
+    p.channel = channel;
+    ASSERT_TRUE(net.send(std::move(p)));
+  };
+  // Port 1 rides the whole reserved path: b -> c is busy until 4 ms. Port
+  // 2 rides only its b -> c hop from 2.5 ms and queues behind it there.
+  send(a, 1, *ch);
+  sim.schedule_at(SimTime{2500}, [&] { send(b, 2, *ch); });
+  sim.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], (std::pair<Port, SimTime>{1, SimTime{4000}}));
+  EXPECT_EQ(got[1], (std::pair<Port, SimTime>{2, SimTime{6000}}));
+
+  // Released while port 3's datagram is on its first hop: the second hop
+  // is best-effort at the link's full 8 Mb/s. A later send on the released
+  // id is best-effort throughout.
+  got.clear();
+  const SimTime t0 = sim.now();
+  send(a, 3, *ch);
+  sim.schedule_at(t0 + usec(1000), [&] { net.release_channel(*ch); });
+  sim.run();
+  send(a, 4, *ch);
+  const SimTime t1 = sim.now();
+  sim.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], (std::pair<Port, SimTime>{3, t0 + usec(3000)}));
+  EXPECT_EQ(got[1], (std::pair<Port, SimTime>{4, t1 + usec(2000)}));
+}
+
+// --- the port table ----------------------------------------------------------
+
+TEST_F(TwoHostFixture, ReceiverThatUnbindsItsOwnPortGetsOneDatagram) {
+  link({});
+  int calls = 0;
+  // A capture held on the heap: it is read after the unbind, so ASan sees
+  // a receiver destroyed while it runs.
+  const std::vector<int> tag(16, 7);
+  net.bind(b, 9, [&, tag](const Packet&) {
+    net.unbind(b, 9);
+    calls += tag[0] == 7 ? 1 : 100;
+  });
+  for (int i = 0; i < 3; ++i) net.send(make(100));
+  sim.run();
+  EXPECT_EQ(calls, 1);
+}
+
+TEST_F(TwoHostFixture, ReceiverThatRebindsItsOwnPortGetsEachDatagramOnce) {
+  link({});
+  int first = 0;
+  int second = 0;
+  const std::vector<int> tag(16, 7);
+  net.bind(b, 9, [&, tag](const Packet&) {
+    // Rebound twice, and unbound in between, inside one call.
+    net.bind(b, 9, [&](const Packet&) { second += 100; });
+    net.unbind(b, 9);
+    net.bind(b, 9, [&](const Packet&) { ++second; });
+    first += tag[0] == 7 ? 1 : 100;
+  });
+  for (int i = 0; i < 4; ++i) net.send(make(100));
+  sim.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 3);
+}
+
+TEST_F(TwoHostFixture, ReceiverThatBindsManyPortsDuringDeliveryStaysPut) {
+  link({});
+  // Port 250 sits near the end of its page; 300 more ports fill the rest
+  // of it and two more pages while the receiver runs.
+  std::vector<int> calls(600, 0);
+  const std::vector<int> tag(16, 7);
+  net.bind(b, 250, [&, tag](const Packet&) {
+    calls[250] += tag[0] == 7 ? 1 : 100;
+    if (calls[250] != 1) return;
+    for (Port port = 251; port <= 550; ++port) {
+      net.bind(b, port, [&calls, port](const Packet&) { ++calls[port]; });
+    }
+    calls[250] += tag[1] == 7 ? 0 : 100;
+  });
+  net.send(make(100, 250));
+  net.send(make(100, 250));
+  sim.run();
+  EXPECT_EQ(calls[250], 2);
+  for (const Port port : {Port{251}, Port{255}, Port{256}, Port{511},
+                          Port{512}, Port{550}}) {
+    net.send(make(100, port));
+  }
+  net.send(make(100, 551));  // never bound
+  sim.run();
+  for (Port port = 251; port <= 551; ++port) {
+    const bool sent = port == 251 || port == 255 || port == 256 ||
+                      port == 511 || port == 512 || port == 550;
+    EXPECT_EQ(calls[port], sent ? 1 : 0) << port;
+  }
+}
+
 TEST(RouteTable, ShorterLinkAddedAfterTrafficTakesEffect) {
   Simulator sim;
   Network net(sim);

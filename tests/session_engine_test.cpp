@@ -439,5 +439,40 @@ TEST_F(OriginFixture, VerbsOnAStoppedSessionAreIgnored) {
   EXPECT_EQ(c.frames.size(), frames);
 }
 
+TEST(SessionEngineTimer, StopAtTheInstantThePacerIsDueMeansItNeverFires) {
+  // PLAY and STOP leave the client together over a link too fast to
+  // serialize them apart, so both arrive at one instant, PLAY first. A
+  // session's first packet is due at once, so PLAY arms the pacer for that
+  // same instant, behind STOP's arrival: STOP must cancel it.
+  net::Simulator sim;
+  net::Network network(sim, 5);
+  const net::HostId server_host = network.add_host("server");
+  const net::HostId client_host = network.add_host("client");
+  net::LinkConfig fast;
+  fast.bandwidth_bps = 1'000'000'000'000;
+  fast.latency = msec(2);
+  network.add_link(server_host, client_host, fast);
+  StreamingServer server(network, server_host);
+  server.publish("lec", lecture(sec(4)));
+  sim.obs().trace().set_enabled(true);
+
+  RawClient c(network, client_host, server_host, 6000);
+  c.play("lec");
+  c.session = 1;  // a fresh engine numbers its sessions from 1
+  c.send(c.verb(Ctl::kStop));
+  sim.run_until(SimTime{sec(2).us});
+
+  const auto& trace = sim.obs().trace();
+  const auto opened = trace.events(obs::EventType::kSessionOpen);
+  const auto stopped = trace.events(obs::EventType::kSessionStop);
+  ASSERT_EQ(opened.size(), 1u);
+  ASSERT_EQ(stopped.size(), 1u);
+  EXPECT_EQ(opened[0].t, stopped[0].t);
+  EXPECT_EQ(server.active_sessions(), 0u);
+  EXPECT_EQ(server.metrics().packets_sent(), 0u);
+  EXPECT_TRUE(c.frames.empty());
+  EXPECT_TRUE(c.eos.empty());
+}
+
 }  // namespace
 }  // namespace lod::streaming
