@@ -236,6 +236,44 @@ TEST_F(EtpnFixture, InteractionStormConvergesToFinish) {
   }
 }
 
+// Pins every conversion of the wall<->media map to the microsecond: odd
+// instants and rates that do not divide evenly exercise the truncating
+// media reading and the rounded-up timer delta. The storm test above only
+// checks that playout converges.
+TEST_F(EtpnFixture, RateStormEpisodesAreExact) {
+  auto p = make_player();
+  p->start();
+  sim.run_until(SimTime{1'234'567});
+  p->set_rate(1.5);
+  sim.run_until(SimTime{2'000'001});
+  p->pause();
+  sim.run_until(SimTime{2'500'003});
+  p->set_rate(0.75);
+  p->resume();
+  sim.run_until(SimTime{4'111'111});
+  p->seek(net::usec(1'999'999));
+  sim.run_until(SimTime{5'000'007});
+  p->set_rate(1.0 / 3.0);
+  sim.run_until(SimTime{7'777'777});
+  p->set_rate(3.0);
+  sim.run();
+  ASSERT_TRUE(p->finished());
+  std::vector<std::int64_t> got;
+  for (const auto& ep : p->episodes()) {
+    got.insert(got.end(), {static_cast<std::int64_t>(ep.place),
+                           ep.media_start.us, ep.wall_start.us,
+                           ep.wall_end.us, ep.complete ? 1 : 0});
+  }
+  // {place, media_start, wall_start, wall_end, complete} per episode.
+  EXPECT_EQ(got, (std::vector<std::int64_t>{
+                     0, 0,         0,         1'744'856, 1,  //
+                     1, 2'000'000, 1'744'856, 4'111'111, 0,  //
+                     0, 1'999'999, 4'111'111, 4'111'113, 1,  //
+                     1, 2'000'000, 4'111'113, 8'246'913, 1,  //
+                     3, 5'000'000, 8'246'913, 9'913'579, 1}));
+  EXPECT_EQ(sim.now().us, 9'913'579);
+}
+
 TEST_F(EtpnFixture, ParallelMediaBothActive) {
   // video(4) equals audio(4): both active together, both tracked.
   auto spec = TemporalSpec::relate(Relation::kEquals, obj("video", 4),

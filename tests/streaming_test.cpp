@@ -504,6 +504,107 @@ TEST_F(StreamFixture, EtpnSlowMotion) {
   EXPECT_TRUE(p.stalls().empty());
 }
 
+/// Forwards everything to \p inner and stamps each data datagram sent to
+/// the client's data port: the server's pacing instants as the wire sees
+/// them.
+struct SendStamps final : net::Transport {
+  SendStamps(net::Transport& inner, net::Port data_port)
+      : inner(inner), data_port(data_port) {}
+
+  obs::Hub& obs() override { return inner.obs(); }
+  SimTime now() const override { return inner.now(); }
+  net::EventId schedule_at(SimTime t, TimerFn fn) override {
+    return inner.schedule_at(t, std::move(fn));
+  }
+  bool cancel(net::EventId id) override { return inner.cancel(id); }
+  net::HostClock& clock(net::HostId h) override { return inner.clock(h); }
+  SimTime local_now(net::HostId h) const override { return inner.local_now(h); }
+  std::string endpoint_name(net::HostId h) const override {
+    return inner.endpoint_name(h);
+  }
+  std::optional<net::HostId> find_endpoint(
+      std::string_view name) const override {
+    return inner.find_endpoint(name);
+  }
+  void bind(net::HostId h, net::Port port, Receiver r) override {
+    inner.bind(h, port, std::move(r));
+  }
+  void unbind(net::HostId h, net::Port port) override {
+    inner.unbind(h, port);
+  }
+  bool send(net::Datagram d) override {
+    if (d.dst_port == data_port) stamps.push_back(inner.now().us);
+    return inner.send(std::move(d));
+  }
+  std::int64_t channel_rate_bps(net::ChannelId id) const override {
+    return inner.channel_rate_bps(id);
+  }
+
+  net::Transport& inner;
+  net::Port data_port;
+  std::vector<std::int64_t> stamps;
+};
+
+/// FNV-1a over a sequence of 64-bit values.
+std::uint64_t digest(const std::vector<std::int64_t>& values) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::int64_t v : values) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(v) >> (8 * i) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Pins the render clock and the server's pacer through every rate path to
+// the microsecond: a rate change, pause/resume, seek, a slow-motion rate and
+// a stall. The existing rate tests bound only total wall time.
+TEST_F(StreamFixture, EtpnRatePathIsExactToTheMicrosecond) {
+  const auto enc = encode(sec(40), default_job());
+  const PlayerConfig cfg = player_cfg(SyncModel::kEtpn);
+  SendStamps tap(network, cfg.data_port);
+  server.reset();  // its destructor unbinds the ports the new one binds
+  server = std::make_unique<StreamingServer>(tap, server_host);
+  server->publish("lec", enc.file);
+  Player p(network, client_host, cfg);
+  p.open_and_play(server_host, "lec");
+  sim.run_until(SimTime{5'000'333});
+  p.set_rate(1.5);
+  sim.run_until(SimTime{9'000'777});
+  p.pause();
+  sim.run_until(SimTime{11'000'001});
+  p.resume();
+  sim.run_until(SimTime{14'000'500});
+  p.seek(sec(25));
+  sim.run_until(SimTime{18'000'999});
+  p.set_rate(0.75);
+  sim.run_until(SimTime{21'000'000});
+  // From here every datagram takes 6 s: the buffer runs dry and the render
+  // clock shifts by how late the next unit lands.
+  net::LinkConfig slow;
+  slow.bandwidth_bps = 10'000'000;
+  slow.latency = sec(6);
+  network.set_link_config(server_host, client_host, slow);
+  sim.run();
+
+  ASSERT_TRUE(p.finished());
+  EXPECT_DOUBLE_EQ(p.rate(), 0.75);
+  ASSERT_FALSE(p.stalls().empty());
+  std::vector<std::int64_t> renders;
+  for (const RenderEvent& e : p.rendered()) {
+    renders.push_back(e.pts.us);
+    renders.push_back(e.true_time.us);
+  }
+  EXPECT_EQ(p.rendered().size(), 574u);
+  EXPECT_EQ(digest(renders), 18334954070473607908ull);
+  EXPECT_EQ(tap.stamps.size(), 760u);
+  EXPECT_EQ(digest(tap.stamps), 10583663147850036230ull);
+  EXPECT_EQ(p.stalls().size(), 4u);
+  EXPECT_EQ(p.stalls().front().duration.us, 2'199'413);
+  server.reset();  // before `tap`, which it sends through
+}
+
 TEST_F(StreamFixture, OcpnIgnoresRateChanges) {
   const auto enc = encode(sec(10), default_job());
   server->publish("lec", enc.file);
