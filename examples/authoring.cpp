@@ -84,7 +84,8 @@ int main() {
   // Play it interactively: the viewer pauses during the demo, then skips
   // to the closing.
   net::Simulator sim;
-  core::InteractivePlayout playout(sim, compiled.net, m0);
+  net::Network network(sim);
+  core::InteractivePlayout playout(network, compiled.net, m0);
   playout.on_media([&](core::PlaceId, const core::MediaBinding& m,
                        bool started, net::SimDuration pos) {
     std::printf("  [%6.1fs wall] %s %-10s (media %5.1fs)\n",

@@ -48,7 +48,8 @@ int main() {
   const auto spec = app::level_spec(tree, 1);
   const auto compiled = core::build_ocpn(spec);
   net::Simulator sim;
-  core::InteractivePlayout playout(sim, compiled.net,
+  net::Network network(sim);
+  core::InteractivePlayout playout(network, compiled.net,
                                    compiled.initial_marking());
   playout.on_media([&](core::PlaceId, const core::MediaBinding& m,
                        bool started, net::SimDuration pos) {

@@ -1,15 +1,14 @@
 #include "lod/core/etpn.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace lod::core {
 
-InteractivePlayout::InteractivePlayout(net::Simulator& sim,
+InteractivePlayout::InteractivePlayout(net::Transport& transport,
                                        const TimedPetriNet& net,
                                        const Marking& initial)
-    : sim_(sim), net_(net), trace_(play(net, initial)) {
+    : transport_(transport), net_(net), trace_(play(net, initial)) {
   build_events();
   open_episode_.assign(trace_.intervals.size(), 0);
 }
@@ -33,54 +32,45 @@ void InteractivePlayout::build_events() {
 
 SimDuration InteractivePlayout::media_now() const {
   if (!started_) return SimDuration{0};
-  if (paused_ || finished_) return anchor_media_;
-  const SimDuration wall_elapsed = sim_.now() - anchor_wall_;
-  return anchor_media_ +
-         SimDuration{static_cast<std::int64_t>(
-             static_cast<double>(wall_elapsed.us) * rate_)};
+  // Playout finishes exactly at the makespan (the end timer or a seek there).
+  if (finished_) return trace_.makespan;
+  return clock_.media_at(transport_.now());
 }
 
 void InteractivePlayout::log(Interaction::Kind k) {
-  interactions_.push_back(Interaction{k, sim_.now(), media_now(), rate_});
+  interactions_.push_back(
+      Interaction{k, transport_.now(), media_now(), clock_.rate()});
 }
 
 void InteractivePlayout::start() {
   if (started_) return;
   started_ = true;
-  anchor_wall_ = sim_.now();
-  anchor_media_ = SimDuration{0};
+  clock_.start(transport_.now(), SimDuration{0});
   log(Interaction::Kind::kStart);
   fire_due_events();  // zero-time starts
   arm_timer();
 }
 
 void InteractivePlayout::pause() {
-  if (!started_ || paused_ || finished_) return;
-  anchor_media_ = media_now();
-  paused_ = true;
+  if (!started_ || clock_.paused() || finished_) return;
+  clock_.pause(media_now());
   cancel_timer();
   log(Interaction::Kind::kPause);
 }
 
 void InteractivePlayout::resume() {
-  if (!started_ || !paused_ || finished_) return;
-  paused_ = false;
-  anchor_wall_ = sim_.now();
+  if (!started_ || !clock_.paused() || finished_) return;
+  clock_.resume(transport_.now());
   log(Interaction::Kind::kResume);
   arm_timer();
 }
 
 void InteractivePlayout::set_rate(double rate) {
   if (rate <= 0.0) throw std::invalid_argument("set_rate: rate must be > 0");
-  if (!started_) {
-    rate_ = rate;
-    return;
-  }
-  anchor_media_ = media_now();
-  anchor_wall_ = sim_.now();
-  rate_ = rate;
+  clock_.set_rate(transport_.now(), rate);
+  if (!started_) return;
   log(Interaction::Kind::kRate);
-  if (!paused_ && !finished_) {
+  if (!clock_.paused() && !finished_) {
     cancel_timer();
     arm_timer();
   }
@@ -109,8 +99,7 @@ void InteractivePlayout::seek(SimDuration media_t) {
       ++it;
     }
   }
-  anchor_media_ = media_t;
-  anchor_wall_ = sim_.now();
+  clock_.seek(transport_.now(), media_t);
   finished_ = false;
   for (std::uint32_t i : target) {
     if (!active_.count(i)) {
@@ -127,7 +116,7 @@ void InteractivePlayout::seek(SimDuration media_t) {
                        [](const Event& e, SimDuration t) { return e.at <= t; }) -
       events_.begin());
   log(Interaction::Kind::kSeek);
-  if (!paused_) {
+  if (!clock_.paused()) {
     if (cursor_ >= events_.size() && media_t >= trace_.makespan) {
       finished_ = true;
     } else {
@@ -138,34 +127,23 @@ void InteractivePlayout::seek(SimDuration media_t) {
 
 void InteractivePlayout::cancel_timer() {
   if (timer_) {
-    sim_.cancel(*timer_);
+    transport_.cancel(*timer_);
     timer_.reset();
   }
 }
 
 void InteractivePlayout::arm_timer() {
-  if (paused_ || finished_) return;
-  if (cursor_ >= events_.size()) {
-    // Nothing left to render; finish when the media clock passes makespan.
-    const SimDuration remaining_media = trace_.makespan - media_now();
-    const auto wall_delta = SimDuration{static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(std::max<std::int64_t>(
-                      remaining_media.us, 0)) /
-                  rate_))};
-    timer_ = sim_.schedule_after(wall_delta, [this] {
-      timer_.reset();
-      anchor_media_ = trace_.makespan;
-      anchor_wall_ = sim_.now();
-      finished_ = true;
-    });
-    return;
-  }
-  const SimDuration media_delta = events_[cursor_].at - media_now();
-  const auto wall_delta = SimDuration{static_cast<std::int64_t>(
-      std::ceil(static_cast<double>(std::max<std::int64_t>(media_delta.us, 0)) /
-                rate_))};
-  timer_ = sim_.schedule_after(wall_delta, [this] {
+  if (clock_.paused() || finished_) return;
+  // With nothing left to render, finish when the media clock passes makespan.
+  const bool last = cursor_ >= events_.size();
+  const SimDuration next = last ? trace_.makespan : events_[cursor_].at;
+  const SimDuration wall = clock_.wall_until(next, transport_.now());
+  timer_ = transport_.schedule_after(wall, [this, last] {
     timer_.reset();
+    if (last) {
+      finished_ = true;
+      return;
+    }
     fire_due_events();
     arm_timer();
   });
@@ -189,7 +167,7 @@ void InteractivePlayout::emit_start(std::uint32_t interval,
   WallEpisode ep;
   ep.place = p;
   ep.media_start = media_pos;
-  ep.wall_start = sim_.now();
+  ep.wall_start = transport_.now();
   ep.complete = false;
   episodes_.push_back(ep);
   open_episode_[interval] = static_cast<std::uint32_t>(episodes_.size());
@@ -200,7 +178,7 @@ void InteractivePlayout::emit_end(std::uint32_t interval, SimDuration media_pos,
                                   bool complete) {
   const PlaceId p = trace_.intervals[interval].place;
   if (const std::uint32_t idx = open_episode_[interval]; idx > 0) {
-    episodes_[idx - 1].wall_end = sim_.now();
+    episodes_[idx - 1].wall_end = transport_.now();
     episodes_[idx - 1].complete = complete;
     open_episode_[interval] = 0;
   }

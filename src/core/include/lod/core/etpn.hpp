@@ -7,8 +7,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "lod/core/presentation_clock.hpp"
 #include "lod/core/timed.hpp"
-#include "lod/net/simulator.hpp"
+#include "lod/net/transport_base.hpp"
 
 /// \file etpn.hpp
 /// The paper's extended timed Petri net: interactive playout.
@@ -25,9 +26,10 @@
 ///   - rate    — scale all remaining durations (fast/slow motion).
 ///
 /// Implementation: the net's deterministic schedule is computed once with
-/// play() (presentation/media time); the engine then maintains the piecewise
-/// affine wall-clock <-> media-clock map those control transitions induce and
-/// drives callbacks through the discrete-event simulator. This is equivalent
+/// play() (presentation/media time); the engine then keeps the piecewise
+/// affine wall-clock <-> media-clock map those control transitions induce in
+/// a `PresentationClock` and drives callbacks through the transport's timers
+/// (simulated or real). This is equivalent
 /// to token-level rewriting for the deterministic nets the builders emit, and
 /// it is what an actual renderer needs: *when, on the wall clock, does each
 /// media object start and stop*.
@@ -61,7 +63,7 @@ class InteractivePlayout {
     double rate;
   };
 
-  InteractivePlayout(net::Simulator& sim, const TimedPetriNet& net,
+  InteractivePlayout(net::Transport& transport, const TimedPetriNet& net,
                      const Marking& initial);
   ~InteractivePlayout();
   InteractivePlayout(const InteractivePlayout&) = delete;
@@ -69,7 +71,7 @@ class InteractivePlayout {
 
   void on_media(MediaCallback cb) { callback_ = std::move(cb); }
 
-  /// Begin playout at the simulator's current instant. No-op if started.
+  /// Begin playout at the transport's current instant. No-op if started.
   void start();
 
   /// Freeze. No-op when already paused or not started.
@@ -84,9 +86,9 @@ class InteractivePlayout {
   void set_rate(double rate);
 
   bool started() const { return started_; }
-  bool paused() const { return paused_; }
+  bool paused() const { return clock_.paused(); }
   bool finished() const { return finished_; }
-  double rate() const { return rate_; }
+  double rate() const { return clock_.rate(); }
 
   /// Current presentation position.
   SimDuration media_now() const;
@@ -117,18 +119,15 @@ class InteractivePlayout {
   void emit_end(std::uint32_t interval, SimDuration media_pos, bool complete);
   void log(Interaction::Kind k);
 
-  net::Simulator& sim_;
+  net::Transport& transport_;
   const TimedPetriNet& net_;
   PlayoutTrace trace_;
   std::vector<Event> events_;
   std::size_t cursor_{0};
 
   bool started_{false};
-  bool paused_{false};
   bool finished_{false};
-  double rate_{1.0};
-  SimTime anchor_wall_{};
-  SimDuration anchor_media_{};
+  PresentationClock clock_;
 
   std::optional<net::EventId> timer_;
   MediaCallback callback_;

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "lod/core/presentation_clock.hpp"
 #include "lod/media/asf.hpp"
 #include "lod/media/drm.hpp"
 #include "lod/net/transport.hpp"
@@ -148,15 +149,15 @@ struct InteractionRecord {
 };
 
 /// The render-timeline portion of a player's state, as replicated across
-/// sites by `src/sync`: the render-clock mapping (media pts `base_pts` is on
-/// screen at local instant `epoch_local`), the pause position and rate, and
-/// the reorder-buffer cursor. Deliberately EXCLUDES the session lifecycle —
-/// state machine, serving site, buffered media — because sync repairs where
-/// the playhead is, not what the session is doing.
+/// sites by `src/sync`: the render `core::PresentationClock`'s four fields
+/// (pts `media_us` is on screen at local instant `wall_us`, the paused
+/// position, the rate) and the reorder-buffer cursor. Deliberately EXCLUDES
+/// the session lifecycle — state machine, serving site, buffered media —
+/// because sync repairs where the playhead is, not what the session is doing.
 struct PlayerSyncCursor {
-  std::int64_t base_pts_us{0};
-  std::int64_t epoch_local_us{0};
-  std::int64_t paused_pos_us{0};
+  std::int64_t media_us{0};
+  std::int64_t wall_us{0};
+  std::int64_t paused_at_us{0};
   double rate{1.0};
   std::int64_t next_feed{-1};
   std::int64_t highest_index{-1};
@@ -248,11 +249,11 @@ class Player {
   void pause();
   void resume();
   void seek(net::SimDuration to);
-  /// Playback speed (ETPN only; >0). The server re-paces the session and the
-  /// render clock advances at the new rate. A no-op for OCPN/XOCPN — the
-  /// pre-orchestrated models have no speed transition at all.
+  /// Playback speed (ETPN only), rounded to whole permille: the server
+  /// re-paces the session and the render clock runs at that one rate. A no-op
+  /// for a rate that rounds to 0 permille or overflows a u32, and OCPN/XOCPN.
   void set_rate(double rate);
-  double rate() const { return rate_; }
+  double rate() const { return clock_.rate(); }
 
   /// Tear the session down.
   void stop();
@@ -395,10 +396,12 @@ class Player {
   void show_slide(const std::string& url, net::SimDuration at);
   /// Single funnel for slide visibility: records, measures, notifies.
   void record_slide(SlideEvent ev);
+  /// Record, trace (with \p b) and announce a user interaction.
+  void note_interaction(InteractionRecord::Kind kind, obs::EventType type,
+                        std::int64_t b = 0, net::SimDuration target = {});
   void note_render_for_interactions(net::SimTime t);
   net::SimTime local_now() const;
-  /// Convert a local-clock deadline into a simulator (true-time) instant.
-  net::SimTime true_deadline(net::SimTime local) const;
+  void cancel_timer(std::optional<net::EventId>& timer);
   net::SimDuration effective_preroll() const;
   void restart_from_top(net::SimDuration target);  // OCPN/XOCPN fallback
   /// Drop all per-session receive state (buffer, scripts, demux bookkeeping).
@@ -429,11 +432,8 @@ class Player {
   std::optional<media::License> license_;
   net::ChannelId channel_{0};
 
-  // Render clock: media pts `base_pts_` maps to local instant `epoch_local_`.
-  net::SimTime epoch_local_{};
-  net::SimDuration base_pts_{};
-  net::SimDuration paused_pos_{};
-  double rate_{1.0};
+  /// Render clock on local time; frozen from pause() until rendering restarts.
+  core::PresentationClock clock_;
   RenderQueue buffer_;
   std::map<std::int64_t, std::vector<media::asf::ScriptCommand>> scripts_;
   std::optional<media::asf::ScriptCommand> pending_slide_;

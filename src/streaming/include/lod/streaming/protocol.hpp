@@ -60,6 +60,15 @@ inline constexpr std::uint32_t kDataMagic = 0x4c4f4444;  // "LODD"
 /// Bytes of the data header before the blob (4 + 8 + 4 + 8 + 4).
 inline constexpr std::size_t kDataHeaderBytes = 28;
 
+/// A playback rate as kSetRate carries it: the nearest whole permille, or 0
+/// (no such rate) when that is not positive or overflows a u32.
+inline std::uint32_t rate_permille(double rate) {
+  const double permille = rate * 1000.0 + 0.5;
+  return permille >= 1.0 && permille < 4294967296.0
+             ? static_cast<std::uint32_t>(permille)
+             : 0;
+}
+
 /// Live session migration (LODR RPC `/edge/migrate`, served by replicas at
 /// `control_port + kMigratePortOffset`). A player abandoning a dead site
 /// freezes the session, ships its state image to the selector's next pick,

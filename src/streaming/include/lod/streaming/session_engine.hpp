@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "lod/core/presentation_clock.hpp"
 #include "lod/media/asf.hpp"
 #include "lod/net/transport.hpp"
 #include "lod/obs/hub.hpp"
@@ -100,11 +101,9 @@ class SessionEngine {
     /// Set while parked on a fill; a seek clears it, so a stale fill
     /// completing later cannot double-schedule the session.
     std::optional<std::uint32_t> parked;
-    double rate{1.0};  ///< playback speed (pacing divisor)
-    /// send_time of packet[next_packet] maps to this instant.
-    net::SimTime pace_epoch{};
-    net::SimDuration pace_offset{};  ///< media send-time at pace_epoch
-    net::SimTime last_send{};        ///< burst-rate limiter state
+    /// Pacing clock: send time <-> transport time at the playback speed.
+    core::PresentationClock clock;
+    net::SimTime last_send{};  ///< burst-rate limiter state
     /// The instant the pacing timer was armed for. It becomes `last_send`
     /// when the timer fires, so a late timer does not push back the rest
     /// of the burst.

@@ -56,6 +56,11 @@ Player::~Player() {
 
 net::SimTime Player::local_now() const { return net_.local_now(host_); }
 
+void Player::cancel_timer(std::optional<net::EventId>& timer) {
+  if (timer) net_.cancel(*timer);
+  timer.reset();
+}
+
 void Player::enter_finished() {
   const bool was_finished = state_ == State::kFinished;
   state_ = State::kFinished;
@@ -83,22 +88,9 @@ void Player::enter_finished() {
     session_span_ = 0;
     session_ctx_ = {};
   }
-  if (sync_timer_) {
-    net_.cancel(*sync_timer_);
-    sync_timer_.reset();
-  }
-  if (render_timer_) {
-    net_.cancel(*render_timer_);
-    render_timer_.reset();
-  }
-  if (failover_timer_) {
-    net_.cancel(*failover_timer_);
-    failover_timer_.reset();
-  }
-}
-
-net::SimTime Player::true_deadline(net::SimTime local) const {
-  return net_.clock(host_).true_time(local);
+  cancel_timer(sync_timer_);
+  cancel_timer(render_timer_);
+  cancel_timer(failover_timer_);
 }
 
 net::SimDuration Player::effective_preroll() const {
@@ -131,10 +123,7 @@ void Player::reset_session_state() {
   migration_inflight_ = false;
   ++migration_token_;
   waiting_since_.reset();
-  if (render_timer_) {
-    net_.cancel(*render_timer_);
-    render_timer_.reset();
-  }
+  cancel_timer(render_timer_);
 }
 
 void Player::open_and_play(net::HostId server, std::string content,
@@ -293,10 +282,7 @@ void Player::stop() {
 // --- failover watchdog (selector-driven sessions) -----------------------------------
 
 void Player::arm_failover_watchdog() {
-  if (failover_timer_) {
-    net_.cancel(*failover_timer_);
-    failover_timer_.reset();
-  }
+  cancel_timer(failover_timer_);
   if (!selector_ || cfg_.failover_timeout.us <= 0) return;
   watchdog_last_packets_ = packets_received_;
   watchdog_stuck_since_ = net_.now();
@@ -353,19 +339,15 @@ void Player::do_failover() {
   // every already-rendered segment on a mid-playout failover.
   net::SimDuration resume_at =
       discard_below_.us >= 0 ? discard_below_ : net::SimDuration{0};
-  if (state_ == State::kPlaying) {
-    if (waiting_since_) {
-      if (!rendered_.empty()) {
-        // +1us past the last unit actually shown: discard_below_ is a
-        // strict lower bound, so resuming AT the unit would show it twice.
-        resume_at =
-            std::max(resume_at, rendered_.back().pts + net::SimDuration{1});
-      }
-    } else {
-      resume_at = std::max(resume_at, position());
+  if (state_ == State::kPlaying && waiting_since_) {
+    if (!rendered_.empty()) {
+      // +1us past the last unit actually shown: discard_below_ is a
+      // strict lower bound, so resuming AT the unit would show it twice.
+      resume_at =
+          std::max(resume_at, rendered_.back().pts + net::SimDuration{1});
     }
-  } else if (state_ == State::kPaused) {
-    resume_at = std::max(resume_at, paused_pos_);
+  } else if (state_ == State::kPlaying || state_ == State::kPaused) {
+    resume_at = std::max(resume_at, position());
   }
   // The QoS reservation follows the old path; drop it and let the reopen
   // reserve against the new site.
@@ -411,7 +393,7 @@ void Player::start_migration(net::HostId next, net::SimDuration resume_at) {
   w.u32(resume_index);
   w.i64(resume_at.us);
   w.u32(stream_epoch_);
-  w.f64(rate_);
+  w.f64(clock_.rate());
   w.u8(state_ == State::kPaused ? 1 : 0);
   w.u64(session_ctx_.trace_id);
   w.u64(failover_span_ != 0 ? failover_span_ : session_ctx_.parent_span_id);
@@ -480,15 +462,12 @@ void Player::complete_migration(net::HostId next, std::uint64_t session_id,
   if (cfg_.model != SyncModel::kOcpn && header_.props.avg_bitrate_bps > 0) {
     const auto rate = static_cast<std::int64_t>(
         static_cast<double>(header_.props.avg_bitrate_bps) *
-        cfg_.channel_headroom * rate_);
+        cfg_.channel_headroom * clock_.rate());
     if (auto ch = net_.reserve_channel(server_, host_, rate)) channel_ = *ch;
   }
   // ETPN: the clock discipline must track the new serving site.
   if (cfg_.model == SyncModel::kEtpn) {
-    if (sync_timer_) {
-      net_.cancel(*sync_timer_);
-      sync_timer_.reset();
-    }
+    cancel_timer(sync_timer_);
     run_clock_sync();
   }
   // (The adopting edge emits the kSessionOpen event, exactly as it does on
@@ -780,8 +759,7 @@ void Player::ingest_bytes(const net::Payload& bytes) {
     const net::SimTime deadline_true = unit_due(buffer_.front().pts);
     const net::SimTime now_true = net_.now();
     if (now_true > deadline_true) {
-      const net::SimDuration late = now_true - deadline_true;
-      epoch_local_ += late;
+      clock_.shift(now_true - deadline_true);
       const StallEvent ev{*waiting_since_,
                           net_.now() - *waiting_since_};
       stalls_.push_back(ev);
@@ -818,17 +796,14 @@ void Player::maybe_start_rendering() {
   // Live joins start as soon as half a second is buffered.
   if (live_ && hi - lo < net::msec(500) && !eos_received_) return;
 
-  base_pts_ = lo;
-  if (cfg_.scheduled_start) {
-    // Scheduled presentation: pts p renders at local instant start + p. A
-    // synchronized clock makes that the MASTER instant; a skewed one shifts
-    // the whole site by its offset — which is exactly what the distributed
-    // benches measure.
-    const net::SimTime target_local = *cfg_.scheduled_start + base_pts_;
-    epoch_local_ = std::max(local_now(), target_local);
-  } else {
-    epoch_local_ = local_now();
-  }
+  // Scheduled presentation: pts p renders at local instant start + p. A
+  // synchronized clock makes that the MASTER instant; a skewed one shifts
+  // the whole site by its offset — which is exactly what the distributed
+  // benches measure.
+  clock_.start(cfg_.scheduled_start
+                   ? std::max(local_now(), *cfg_.scheduled_start + lo)
+                   : local_now(),
+               lo);
   state_ = State::kPlaying;
   render_start_pending_ = true;
   if (startup_delay_.us < 0) {
@@ -849,7 +824,7 @@ void Player::maybe_start_rendering() {
     // Apply the slide that should already be on screen at this position.
     auto cmd = *pending_slide_;
     pending_slide_.reset();
-    cmd.at = base_pts_;
+    cmd.at = lo;
     scripts_[cmd.at.us].insert(scripts_[cmd.at.us].begin(), std::move(cmd));
   }
   waiting_since_.reset();
@@ -858,15 +833,11 @@ void Player::maybe_start_rendering() {
 
 net::SimDuration Player::position() const {
   switch (state_) {
-    case State::kPlaying: {
-      const net::SimDuration wall = local_now() - epoch_local_;
-      return base_pts_ + net::SimDuration{static_cast<std::int64_t>(
-                             static_cast<double>(wall.us) * rate_)};
-    }
+    case State::kPlaying:
     case State::kPaused:
-      return paused_pos_;
+      return clock_.media_at(local_now());
     case State::kBuffering:
-      return discard_below_.us >= 0 ? discard_below_ : base_pts_;
+      return discard_below_.us >= 0 ? discard_below_ : clock_.anchor_media();
     case State::kFinished:
       return rendered_.empty() ? net::SimDuration{0} : rendered_.back().pts;
     default:
@@ -876,10 +847,10 @@ net::SimDuration Player::position() const {
 
 PlayerSyncCursor Player::sync_cursor() const {
   PlayerSyncCursor c;
-  c.base_pts_us = base_pts_.us;
-  c.epoch_local_us = epoch_local_.us;
-  c.paused_pos_us = paused_pos_.us;
-  c.rate = rate_;
+  c.media_us = clock_.anchor_media().us;
+  c.wall_us = clock_.anchor_wall().us;
+  c.paused_at_us = clock_.paused_at().us;
+  c.rate = clock_.rate();
   c.next_feed = next_feed_;
   c.highest_index = highest_index_;
   c.stream_epoch = stream_epoch_;
@@ -887,10 +858,11 @@ PlayerSyncCursor Player::sync_cursor() const {
 }
 
 void Player::restore_sync_cursor(const PlayerSyncCursor& c) {
-  base_pts_ = net::SimDuration{c.base_pts_us};
-  epoch_local_ = net::SimTime{c.epoch_local_us};
-  paused_pos_ = net::SimDuration{c.paused_pos_us};
-  if (c.rate > 0) rate_ = c.rate;
+  clock_ = core::PresentationClock(net::SimTime{c.wall_us},
+                                  net::SimDuration{c.media_us},
+                                  net::SimDuration{c.paused_at_us},
+                                  c.rate > 0 ? c.rate : clock_.rate());
+  if (state_ == State::kPaused) clock_.pause(clock_.paused_at());
   next_feed_ = c.next_feed;
   highest_index_ = c.highest_index;
   stream_epoch_ = c.stream_epoch;
@@ -972,10 +944,7 @@ void Player::restore_slide_cache(const PlayerSlideCacheSnapshot& s) {
 }
 
 void Player::arm_render_timer() {
-  if (render_timer_) {
-    net_.cancel(*render_timer_);
-    render_timer_.reset();
-  }
+  cancel_timer(render_timer_);
   if (state_ != State::kPlaying) return;
   if (buffer_.empty()) {
     if (eos_received_) {
@@ -1001,10 +970,7 @@ net::SimTime Player::unit_due(net::SimDuration pts) const {
   // Deadline on the local clock, mapped back to simulator (true) time. The
   // renderer compares in TRUE time throughout so clock-rate rounding cannot
   // livelock the timer loop. Playback rate scales media time to wall time.
-  const net::SimDuration media = pts - base_pts_;
-  const net::SimDuration wall{static_cast<std::int64_t>(
-      static_cast<double>(media.us) / rate_)};
-  return true_deadline(epoch_local_ + wall);
+  return net_.clock(host_).true_time(clock_.wall_at(pts));
 }
 
 void Player::render_due() {
@@ -1029,11 +995,7 @@ void Player::render_due() {
     if (observer_) observer_->on_render(ev);
     note_render_for_interactions(now);
   }
-  const net::SimDuration wall = now_local - epoch_local_;
-  const net::SimDuration pos =
-      base_pts_ + net::SimDuration{static_cast<std::int64_t>(
-                      static_cast<double>(wall.us) * rate_)};
-  execute_scripts_upto(pos);
+  execute_scripts_upto(clock_.media_at(now_local));
   arm_render_timer();
 }
 
@@ -1121,23 +1083,24 @@ void Player::note_render_for_interactions(net::SimTime t) {
 
 // --- user interactions ---------------------------------------------------------------
 
-void Player::pause() {
-  if (state_ != State::kPlaying && state_ != State::kBuffering) return;
-  paused_pos_ = position();
-  interactions_.push_back(InteractionRecord{InteractionRecord::Kind::kPause,
-                                            net_.now(),
-                                            {},
-                                            net::SimTime::max(),
-                                            true});  // pause needs no resync
+void Player::note_interaction(InteractionRecord::Kind kind, obs::EventType type,
+                              std::int64_t b, net::SimDuration target) {
+  // A pause needs no resync: it is satisfied the moment it is issued.
+  interactions_.push_back(InteractionRecord{
+      kind, net_.now(), target, net::SimTime::max(),
+      kind == InteractionRecord::Kind::kPause});
   if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kSessionPause, host_,
-                 static_cast<std::int64_t>(session_));
+    trace_->emit(type, host_, static_cast<std::int64_t>(session_), b);
   }
   if (observer_) observer_->on_interaction(interactions_.back());
-  if (render_timer_) {
-    net_.cancel(*render_timer_);
-    render_timer_.reset();
-  }
+}
+
+void Player::pause() {
+  if (state_ != State::kPlaying && state_ != State::kBuffering) return;
+  clock_.pause(position());
+  note_interaction(InteractionRecord::Kind::kPause,
+                   obs::EventType::kSessionPause);
+  cancel_timer(render_timer_);
   waiting_since_.reset();
 
   ByteWriter w;
@@ -1163,46 +1126,28 @@ void Player::pause() {
 
 void Player::resume() {
   if (state_ != State::kPaused) return;
-  interactions_.push_back(InteractionRecord{InteractionRecord::Kind::kResume,
-                                            net_.now(),
-                                            {},
-                                            net::SimTime::max(),
-                                            false});
-  if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kSessionResume, host_,
-                 static_cast<std::int64_t>(session_));
-  }
-  if (observer_) observer_->on_interaction(interactions_.back());
+  note_interaction(InteractionRecord::Kind::kResume,
+                   obs::EventType::kSessionResume);
   if (cfg_.model == SyncModel::kEtpn) {
     ByteWriter w;
     w.u8(static_cast<std::uint8_t>(Ctl::kResume));
     w.u64(session_);
     ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
     // Rebase the render clock and keep going with whatever is buffered.
-    base_pts_ = paused_pos_;
-    epoch_local_ = local_now();
+    clock_.resume(local_now());
     state_ = State::kPlaying;
     render_start_pending_ = true;
     arm_render_timer();
   } else {
-    restart_from_top(paused_pos_);
+    restart_from_top(clock_.paused_at());
   }
 }
 
 void Player::seek(net::SimDuration to) {
   if (state_ == State::kIdle || state_ == State::kOpening || live_) return;
-  interactions_.push_back(InteractionRecord{InteractionRecord::Kind::kSeek,
-                                            net_.now(), to,
-                                            net::SimTime::max(), false});
-  if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kSessionSeek, host_,
-                 static_cast<std::int64_t>(session_), to.us);
-  }
-  if (observer_) observer_->on_interaction(interactions_.back());
-  if (render_timer_) {
-    net_.cancel(*render_timer_);
-    render_timer_.reset();
-  }
+  note_interaction(InteractionRecord::Kind::kSeek, obs::EventType::kSessionSeek,
+                   to.us, to);
+  cancel_timer(render_timer_);
   waiting_since_.reset();
 
   if (cfg_.model == SyncModel::kEtpn) {
@@ -1254,36 +1199,24 @@ void Player::restart_from_top(net::SimDuration target) {
 }
 
 void Player::set_rate(double rate) {
-  if (rate <= 0.0 || cfg_.model != SyncModel::kEtpn) return;
+  const std::uint32_t permille = proto::rate_permille(rate);
+  if (permille == 0 || cfg_.model != SyncModel::kEtpn) return;
+  // Quantized once: the render clock and the server pace at one rate.
+  rate = static_cast<double>(permille) / 1000.0;
+  clock_.set_rate(local_now(), rate);
   if (state_ != State::kPlaying && state_ != State::kPaused &&
       state_ != State::kBuffering) {
-    rate_ = rate;
     return;
   }
-  interactions_.push_back(InteractionRecord{InteractionRecord::Kind::kRate,
-                                            net_.now(),
-                                            {},
-                                            net::SimTime::max(),
-                                            false});
-  if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kSessionRate, host_,
-                 static_cast<std::int64_t>(session_),
-                 static_cast<std::int64_t>(rate * 1000.0 + 0.5));
-  }
-  if (observer_) observer_->on_interaction(interactions_.back());
-  // Re-anchor the render clock at the current position before changing speed.
-  if (state_ == State::kPlaying) {
-    base_pts_ = position();
-    epoch_local_ = local_now();
-  }
-  rate_ = rate;
+  note_interaction(InteractionRecord::Kind::kRate, obs::EventType::kSessionRate,
+                   permille);
   // Faster playback needs a fatter pipe: renegotiate the QoS channel for
   // the scaled bit-rate (XOCPN's "channels according to the required QoS").
   // Resize in place — the same serializer keeps in-flight packets in order.
   if (cfg_.model != SyncModel::kOcpn && header_.props.avg_bitrate_bps > 0) {
     const auto scaled = static_cast<std::int64_t>(
         static_cast<double>(header_.props.avg_bitrate_bps) *
-        cfg_.channel_headroom * rate_);
+        cfg_.channel_headroom * rate);
     if (channel_ != 0) {
       if (!net_.resize_channel(channel_, scaled)) {
         // No capacity for the faster rate: drop to best effort.
@@ -1297,16 +1230,10 @@ void Player::set_rate(double rate) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(Ctl::kSetRate));
   w.u64(session_);
-  w.u32(static_cast<std::uint32_t>(rate * 1000.0 + 0.5));
+  w.u32(permille);
   w.u32(channel_);
   ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
-  if (state_ == State::kPlaying) {
-    if (render_timer_) {
-      net_.cancel(*render_timer_);
-      render_timer_.reset();
-    }
-    arm_render_timer();
-  }
+  if (state_ == State::kPlaying) arm_render_timer();
 }
 
 }  // namespace lod::streaming

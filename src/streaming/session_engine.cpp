@@ -112,7 +112,8 @@ SessionEngine::Session& SessionEngine::start(PacketSource& src,
   // kSetRate carries the new id.
   s.channel = st.channel;
   s.epoch = st.epoch;  // an adopting player keeps its epoch
-  s.rate = st.rate > 0 ? st.rate : 1.0;
+  // An adopted rate comes off the wire: one no player sends paces at 1x.
+  s.clock.set_rate(net_.now(), proto::rate_permille(st.rate) ? st.rate : 1.0);
   s.paused = st.paused;
   // Resume exactly where the old replica's stream left off when the player
   // knows the index; derive it from the position when it does not (a kPlay,
@@ -149,10 +150,9 @@ void SessionEngine::end(Session& s) {
 
 void SessionEngine::anchor(Session& s, std::uint32_t packet) {
   s.next_packet = packet;
-  s.pace_epoch = net_.now();
-  s.pace_offset = packet < s.source->packet_count()
-                      ? s.source->send_time(packet)
-                      : net::SimDuration{0};
+  s.clock.start(net_.now(), packet < s.source->packet_count()
+                                ? s.source->send_time(packet)
+                                : net::SimDuration{0});
 }
 
 void SessionEngine::cancel_timer(Session& s) {
@@ -230,7 +230,7 @@ void SessionEngine::handle_control(const Message& m) {
         s->channel = channel;  // the client renegotiated its QoS reservation
         // Re-anchor the pacing at the new speed, like resume does.
         cancel_timer(*s);
-        s->rate = static_cast<double>(permille) / 1000.0;
+        s->clock.set_rate(net_.now(), static_cast<double>(permille) / 1000.0);
         anchor(*s, s->next_packet);
         if (!s->paused) schedule_next(*s);
       }
@@ -292,11 +292,8 @@ void SessionEngine::schedule_next(Session& s) {
   // multiple of the content's bit-rate so the fast-start cannot overflow
   // drop-tail queues (real servers bound their fast-start rate the same way).
   const media::asf::FileProperties& props = src.props;
-  const net::SimDuration media_ahead =
-      src.send_time(s.next_packet) - s.pace_offset - props.preroll;
-  net::SimTime due =
-      s.pace_epoch + net::SimDuration{static_cast<std::int64_t>(
-                         static_cast<double>(media_ahead.us) / s.rate)};
+  net::SimTime due = s.clock.wall_at(src.send_time(s.next_packet) -
+                                    props.preroll);
   const std::int64_t bps = std::max<std::int64_t>(props.avg_bitrate_bps, 8'000);
   double burst_bps = fast_start_multiplier_ * static_cast<double>(bps);
   // A session on a reserved channel cannot burst past the reservation: the

@@ -18,9 +18,9 @@ constexpr std::uint32_t kMarkTrace = 0x54524345u;    // 'TRCE'
 
 void save_cursor(StateWriter& w, const streaming::PlayerSyncCursor& c) {
   w.marker(kMarkCursor);
-  w.i64(c.base_pts_us);
-  w.i64(c.epoch_local_us);
-  w.i64(c.paused_pos_us);
+  w.i64(c.media_us);
+  w.i64(c.wall_us);
+  w.i64(c.paused_at_us);
   w.f64(c.rate);
   w.i64(c.next_feed);
   w.i64(c.highest_index);
@@ -30,9 +30,9 @@ void save_cursor(StateWriter& w, const streaming::PlayerSyncCursor& c) {
 streaming::PlayerSyncCursor load_cursor(StateReader& r) {
   r.expect_marker(kMarkCursor);
   streaming::PlayerSyncCursor c;
-  c.base_pts_us = r.i64();
-  c.epoch_local_us = r.i64();
-  c.paused_pos_us = r.i64();
+  c.media_us = r.i64();
+  c.wall_us = r.i64();
+  c.paused_at_us = r.i64();
   c.rate = r.f64();
   c.next_feed = r.i64();
   c.highest_index = r.i64();

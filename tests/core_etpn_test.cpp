@@ -31,7 +31,7 @@ struct EtpnFixture : ::testing::Test {
   EtpnFixture() : compiled(build_ocpn(slides_spec())) {}
 
   std::unique_ptr<InteractivePlayout> make_player() {
-    auto p = std::make_unique<InteractivePlayout>(sim, compiled.net,
+    auto p = std::make_unique<InteractivePlayout>(network, compiled.net,
                                                   compiled.initial_marking());
     p->on_media([this](PlaceId, const MediaBinding& m, bool started,
                        SimDuration pos) {
@@ -42,6 +42,7 @@ struct EtpnFixture : ::testing::Test {
   }
 
   Simulator sim;
+  net::Network network{sim};
   CompiledOcpn compiled;
   std::vector<std::string> log;
 };
@@ -279,7 +280,7 @@ TEST_F(EtpnFixture, ParallelMediaBothActive) {
   auto spec = TemporalSpec::relate(Relation::kEquals, obj("video", 4),
                                    obj("audio", 4));
   auto c = build_ocpn(spec);
-  InteractivePlayout p(sim, c.net, c.initial_marking());
+  InteractivePlayout p(network, c.net, c.initial_marking());
   p.start();
   sim.run_until(SimTime{sec(2).us});
   EXPECT_EQ(p.active_places().size(), 2u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -264,6 +265,63 @@ TEST_F(MigrateFixture, MigrationHandshakeAdoptsSessionOnWarmReplica) {
   }
   EXPECT_TRUE(saw_failover);
   EXPECT_TRUE(saw_adopt);
+}
+
+// A migration body arrives from the network. An adopted session whose rate
+// no player could have sent (not positive, under one permille, past the
+// kSetRate frame's range) paces at normal speed, exactly like rate 1.
+TEST_F(MigrateFixture, AdoptionPacesAnOutOfRangeRateAtNormalSpeed) {
+  publish("lec", sec(30));
+  warm_edge(edge_b_host, "lec");
+  net::RpcClient rpc(network, client_host, 6800);
+  net::ReliableEndpoint ctl(network, client_host, 6700);
+  // Adopt a session at \p rate for 4 s; the data arrival offsets.
+  const auto adopt = [&](double rate) {
+    net::ByteWriter w;
+    w.u32(streaming::proto::kMigrateMagic);
+    w.u16(streaming::proto::kMigrateVersion);
+    w.str("lec");
+    w.u32(static_cast<std::uint32_t>(client_host));
+    w.u16(6700);  // client control port
+    w.u16(6701);  // client data port
+    w.u32(std::numeric_limits<std::uint32_t>::max());  // resume from position
+    w.i64(0);     // position
+    w.u32(0);     // stream epoch
+    w.f64(rate);
+    w.u8(0);      // playing
+    w.u64(0);     // trace id
+    w.u64(0);     // parent span
+    w.blob({});   // state image
+    std::vector<std::int64_t> arrivals;
+    net::DatagramSocket data(network, client_host, 6701);
+    const SimTime t0 = sim.now();
+    data.on_receive([&](const net::Datagram&) {
+      arrivals.push_back((sim.now() - t0).us);
+    });
+    std::uint64_t sid = 0;
+    rpc.call(edge_b_host,
+             streaming::proto::kControlPort +
+                 streaming::proto::kMigratePortOffset,
+             "/edge/migrate", std::move(w).take(),
+             [&](net::Result<net::RpcReply> r) {
+               ASSERT_TRUE(r && r->status == 200);
+               sid = net::ByteReader(r->body).u64();
+             });
+    sim.run_until(t0 + sec(4));
+    net::ByteWriter stop;
+    stop.u8(static_cast<std::uint8_t>(streaming::proto::Ctl::kStop));
+    stop.u64(sid);
+    ctl.send_to(edge_b_host, streaming::proto::kControlPort,
+                std::move(stop).take());
+    sim.run_until(sim.now() + sec(1));
+    return arrivals;
+  };
+  ASSERT_FALSE(adopt(1.0).empty());  // warms every segment the rest read
+  const auto normal = adopt(1.0);
+  EXPECT_EQ(adopt(1e-300), normal);
+  EXPECT_EQ(adopt(1e-4), normal);
+  EXPECT_EQ(adopt(1e300), normal);
+  EXPECT_EQ(adopt(-2.0), normal);
 }
 
 TEST_F(MigrateFixture, ColdReplicaFallsBackToRedescribeAndStillFinishes) {

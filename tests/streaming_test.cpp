@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "lod/obs/hub.hpp"
@@ -603,6 +604,61 @@ TEST_F(StreamFixture, EtpnRatePathIsExactToTheMicrosecond) {
   EXPECT_EQ(p.stalls().size(), 4u);
   EXPECT_EQ(p.stalls().front().duration.us, 2'199'413);
   server.reset();  // before `tap`, which it sends through
+}
+
+// One rate on both ends of the wire: the player rounds to the permille the
+// kSetRate frame carries and renders at exactly that, and a rate that rounds
+// to 0 or overflows the frame changes nothing anywhere.
+TEST_F(StreamFixture, EtpnRateIsQuantizedOnceForBothEnds) {
+  sim.obs().trace().set_enabled(true);
+  const auto enc = encode(sec(10), default_job());
+  server->publish("lec", enc.file);
+  Player p(network, client_host, player_cfg(SyncModel::kEtpn));
+  p.open_and_play(server_host, "lec");
+  sim.run_until(SimTime{sec(3).us});
+  ASSERT_TRUE(p.playing());
+  p.set_rate(1.0 / 3.0);
+  EXPECT_EQ(p.rate(), 0.333);
+  p.set_rate(1e-4);  // rounds to 0 permille
+  p.set_rate(1e7);   // 1e10 permille overflows the u32 field
+  p.set_rate(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(p.rate(), 0.333);
+  EXPECT_EQ(p.interactions().size(), 1u);
+  sim.run_until(SimTime{sec(4).us});
+  // Player and server each traced one rate change, both at 333 permille.
+  const auto rates = sim.obs().trace().events(obs::EventType::kSessionRate);
+  ASSERT_EQ(rates.size(), 2u);
+  for (const auto& e : rates) EXPECT_EQ(e.b, 333);
+}
+
+// The sync cursor carries the render clock's four fields without loss: a
+// paused, re-rated clock exported and installed again reads the same.
+TEST_F(StreamFixture, SyncCursorRoundTripsTheRenderClock) {
+  const auto enc = encode(sec(20), default_job());
+  server->publish("lec", enc.file);
+  Player p(network, client_host, player_cfg(SyncModel::kEtpn));
+  p.open_and_play(server_host, "lec");
+  sim.run_until(SimTime{4'000'333});
+  p.set_rate(0.75);
+  sim.run_until(SimTime{6'000'777});
+  p.pause();
+  sim.run_until(SimTime{7'000'000});
+  const PlayerSyncCursor c = p.sync_cursor();
+  const SimDuration frozen = p.position();
+  EXPECT_EQ(c.paused_at_us, frozen.us);
+  EXPECT_EQ(c.rate, 0.75);
+  p.restore_sync_cursor(c);
+  const PlayerSyncCursor back = p.sync_cursor();
+  EXPECT_EQ(back.media_us, c.media_us);
+  EXPECT_EQ(back.wall_us, c.wall_us);
+  EXPECT_EQ(back.paused_at_us, c.paused_at_us);
+  EXPECT_EQ(back.rate, c.rate);
+  EXPECT_TRUE(p.paused_state());
+  EXPECT_EQ(p.position(), frozen);  // still frozen after the restore
+  p.resume();
+  EXPECT_EQ(p.position(), frozen);
+  sim.run();
+  EXPECT_TRUE(p.finished());
 }
 
 TEST_F(StreamFixture, OcpnIgnoresRateChanges) {

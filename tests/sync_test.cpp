@@ -132,7 +132,7 @@ TEST(SessionState, DirtyTrackingFlagsOnlyChangedBlocks) {
   s.marking[1] = 1;
   ASSERT_EQ(s.state.refresh(), 1u);
   EXPECT_EQ(s.state.dirty_blocks().front(), 1u);
-  s.cursor.base_pts_us = 777;
+  s.cursor.media_us = 777;
   ASSERT_EQ(s.state.refresh(), 1u);
   EXPECT_EQ(s.state.dirty_blocks().front(), 2u);
 }
@@ -148,7 +148,7 @@ TEST(SessionState, DuplicateBlockIdThrows) {
 TEST(SessionState, SerializeDeserializeSerializeIsByteIdentical) {
   TwoBlockState a;
   a.marking = {0, 1, 5};
-  a.cursor.base_pts_us = 123456;
+  a.cursor.media_us = 123456;
   a.cursor.rate = 1.5;
   a.state.refresh();
   const std::vector<std::byte> img1 = a.state.serialize_full();
@@ -160,7 +160,7 @@ TEST(SessionState, SerializeDeserializeSerializeIsByteIdentical) {
   EXPECT_TRUE(res.checksum_match);
   EXPECT_EQ(res.blocks_applied, 2u);
   EXPECT_EQ(b.marking, a.marking);
-  EXPECT_EQ(b.cursor.base_pts_us, 123456);
+  EXPECT_EQ(b.cursor.media_us, 123456);
 
   const std::vector<std::byte> img2 = b.state.serialize_full();
   EXPECT_EQ(img1, img2);

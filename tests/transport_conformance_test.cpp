@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "lod/core/etpn.hpp"
+#include "lod/core/ocpn.hpp"
 #include "lod/net/network.hpp"
 #include "lod/net/real_transport.hpp"
 #include "lod/net/transport.hpp"
@@ -356,6 +358,47 @@ TYPED_TEST(TransportConformance, OversizedDatagramIsRefusedCleanly) {
   ASSERT_TRUE(this->h.run_until([&] { return got.has_value(); }));
   EXPECT_EQ(string_of(got->payload), "after the giant");
   if (!sent) EXPECT_FALSE(got_big);
+}
+
+/// The paper's extended timed Petri net runs on the seam: three slides back
+/// to back (20, 30 and 50 ms, with a seek back into the second) present in
+/// the same order at the same media positions on both backends. Wall times
+/// are the backend's own business.
+TYPED_TEST(TransportConformance, EtpnPlayoutPresentsInScheduleOrder) {
+  using core::Relation;
+  using core::TemporalSpec;
+  const auto slide = [](const char* name, std::int64_t ms) {
+    return TemporalSpec::object(name, 0, msec(ms));
+  };
+  const auto compiled = core::build_ocpn(TemporalSpec::relate(
+      Relation::kMeets,
+      TemporalSpec::relate(Relation::kMeets, slide("s1", 20),
+                           slide("s2", 30)),
+      slide("s3", 50)));
+  core::InteractivePlayout p(this->h.transport(), compiled.net,
+                             compiled.initial_marking());
+  std::vector<std::string> log;
+  p.on_media([&](core::PlaceId, const core::MediaBinding& m, bool started,
+                 SimDuration pos) {
+    log.push_back((started ? "+" : "-") + m.object_name + "@" +
+                  std::to_string(pos.us / 1000));
+    // The first time s3 begins, seek back to the start of s2, from a timer
+    // of its own rather than from inside the playout's event loop.
+    if (started && log.size() == 5) {
+      this->h.transport().schedule_after(usec(0), [&] { p.seek(msec(20)); });
+    }
+  });
+  p.start();
+  ASSERT_TRUE(this->h.run_until([&] { return p.finished(); }));
+  EXPECT_EQ(log, (std::vector<std::string>{"+s1@0", "-s1@20", "+s2@20",
+                                           "-s2@50", "+s3@50", "-s3@20",
+                                           "+s2@20", "-s2@50", "+s3@50",
+                                           "-s3@100"}));
+  EXPECT_EQ(p.media_now(), msec(100));
+  ASSERT_EQ(p.episodes().size(), 5u);
+  EXPECT_FALSE(p.episodes()[2].complete);  // s3, cut short by the seek
+  EXPECT_EQ(p.episodes()[3].media_start, msec(20));
+  EXPECT_TRUE(p.episodes()[4].complete);
 }
 
 /// A foreign thread schedules and cancels while the loop fires: the wheel
