@@ -70,10 +70,7 @@ void InteractivePlayout::set_rate(double rate) {
   clock_.set_rate(transport_.now(), rate);
   if (!started_) return;
   log(Interaction::Kind::kRate);
-  if (!clock_.paused() && !finished_) {
-    cancel_timer();
-    arm_timer();
-  }
+  arm_timer();
 }
 
 void InteractivePlayout::seek(SimDuration media_t) {
@@ -133,6 +130,9 @@ void InteractivePlayout::cancel_timer() {
 }
 
 void InteractivePlayout::arm_timer() {
+  // One timer chain: a callback's seek or rate change may have armed one
+  // already from inside fire_due_events.
+  cancel_timer();
   if (clock_.paused() || finished_) return;
   // With nothing left to render, finish when the media clock passes makespan.
   const bool last = cursor_ >= events_.size();
@@ -150,14 +150,18 @@ void InteractivePlayout::arm_timer() {
 }
 
 void InteractivePlayout::fire_due_events() {
-  const SimDuration pos = media_now();
+  SimDuration pos = media_now();
   while (cursor_ < events_.size() && events_[cursor_].at <= pos) {
     const Event& e = events_[cursor_++];
+    // A callback may seek, pause or change the rate (each logs an
+    // interaction); what is due is then read again from the new position.
+    const std::size_t controls = interactions_.size();
     if (e.is_start) {
       if (active_.insert(e.interval).second) emit_start(e.interval, e.at);
     } else {
       if (active_.erase(e.interval)) emit_end(e.interval, e.at, true);
     }
+    if (interactions_.size() != controls) pos = media_now();
   }
 }
 

@@ -117,6 +117,9 @@ class RealTransport : public Transport {
   /// The dotted-quad loopback address host \p h answers on.
   std::string host_address(HostId h) const;
 
+  /// Timers scheduled and neither fired nor cancelled.
+  std::size_t pending_timers() const;
+
   // --- TCP control plane ----------------------------------------------------
 
   /// Listen on (host, port) serving HTTP and LODR-framed RPC bridged into
@@ -208,7 +211,7 @@ class RealTransport : public Transport {
   std::unordered_map<int, TcpListener> listeners_;
   std::unordered_map<int, TcpConn> conns_;
 
-  std::mutex timer_mu_;
+  mutable std::mutex timer_mu_;
   TimingWheel timers_;  ///< guarded by timer_mu_
   std::uint64_t next_datagram_{1};
   std::vector<std::byte> rx_buf_;  ///< loop-thread recv staging

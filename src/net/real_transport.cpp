@@ -258,6 +258,11 @@ std::string RealTransport::host_address(HostId h) const {
   return ip_to_string(ip_of(h));
 }
 
+std::size_t RealTransport::pending_timers() const {
+  std::lock_guard lk(timer_mu_);
+  return timers_.pending();
+}
+
 void RealTransport::bind(HostId h, Port port, Receiver r) {
   register_host(h);
   const std::uint64_t key = port_key(h, port);

@@ -1,10 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iterator>
-#include <stdexcept>
+#include <memory>
+#include <vector>
 
 #include "lod/media/object.hpp"
 #include "lod/net/time.hpp"
@@ -14,17 +15,33 @@
 /// for the life of the player, from which the sync, skew and migration
 /// figures are read.
 ///
-/// A long session renders millions of units, so each is stored in 16 bytes:
+/// A long session renders millions of units, so records are delta-encoded,
+/// about 2 bytes per unit on the benchmark workloads. Every 32nd record
+/// starts a chunk whose encoder state is reset, and a `u32` index holds
+/// each chunk's byte position, so `operator[]` decodes at most 31 records
+/// before the one it returns. A record is one tag byte and up to three
+/// zigzag varints:
 ///
-///   word 0: pts       as 48-bit two's-complement µs | stream_id << 48
-///   word 1: true_time as 48-bit two's-complement µs | type      << 48
+///   tag bits 0-2: slot 0-5 in the chunk's table of (stream_id, type)
+///                 pairs; 6 escapes: varint(stream_id << 8 | type) follows
+///                 and the pair takes the next free slot; 7 ends the block
+///   tag bits 3-4: pts delta-of-delta against the previous unit of the same
+///                 slot: 0-2 mean -1, 0, +1; 3 means a varint follows
+///   tag bits 5-7: delta of (true_time - pts) against the previous record:
+///                 0-6 mean -3..+3; 7 means a varint follows
 ///
-/// 48 bits cover ±2^47 µs (±4.46 years) of pts or simulation time; a unit
-/// outside that range is refused rather than silently wrapped. Records live
-/// in a `std::deque`, which never relocates and has no doubling slack, so
-/// the log costs 16 bytes per unit plus one map pointer per deque block
-/// (32 records in libstdc++'s 512-byte blocks).
-/// Accessors decode a record into a `RenderEvent` and return it by value.
+/// A pair's first unit in a chunk is predicted from the previous record's
+/// pts with no step; the chunk's first record from pts and offset 0.
+///
+/// pts and true_time are limited to ±2^47 µs (±4.46 years); a unit outside
+/// that range is refused rather than silently wrapped. Bytes live in
+/// blocks that never relocate (256 B, growing to 1 KiB in a long log), so
+/// there is no doubling slack and no copying; a record that does not fit in
+/// the last block starts the next. An empty log allocates nothing.
+/// Accessors decode a record into a `RenderEvent` and return it by value;
+/// `back()` reads a cached copy of the last event. Each thread keeps the
+/// chunk its last `operator[]` read, decoded that far, so reading `log[i]`
+/// in order decodes each record once.
 
 namespace lod::streaming {
 
@@ -39,17 +56,51 @@ struct RenderEvent {
 };
 
 class RenderLog {
-  struct Record {
-    std::uint64_t pts_stream;
-    std::uint64_t time_type;
-  };
-
  public:
-  static constexpr std::size_t kRecordBytes = sizeof(Record);
   /// Inclusive range of a pts or true_time, in µs.
   static constexpr std::int64_t kMaxUs = (std::int64_t{1} << 47) - 1;
   static constexpr std::int64_t kMinUs = -(std::int64_t{1} << 47);
+  /// Records per chunk; `operator[]` decodes from the chunk's start.
+  static constexpr std::size_t kChunkRecords = 32;
 
+ private:
+  /// The predictor of one (stream_id, type) pair: its last pts and step.
+  struct Stream {
+    std::int64_t pts;
+    std::int64_t step;
+    std::uint16_t id;
+    std::uint8_t type;
+  };
+  /// Encoder state, and the same state rebuilt by a reader. Reset at every
+  /// chunk start.
+  struct Codec {
+    static constexpr std::size_t kSlots = 6;
+    /// One spare past kSlots, where a reader decodes an escaped pair when
+    /// the table is full.
+    std::array<Stream, kSlots + 1> slots{};
+    std::size_t used{0};
+    std::int64_t pts{0};     ///< previous record's pts
+    std::int64_t offset{0};  ///< previous record's true_time - pts
+
+    void reset() {
+      used = 0;
+      pts = 0;
+      offset = 0;
+    }
+  };
+  /// A read position: the next record's bytes and the state to decode it.
+  struct Cursor {
+    Codec codec;
+    std::size_t block{0};
+    const std::uint8_t* p{nullptr};
+    const std::uint8_t* end{nullptr};
+
+    RenderEvent next(const RenderLog& log);
+  };
+  /// The chunk a thread read last, decoded as far as it has read.
+  struct ReadCache;
+
+ public:
   class iterator {
    public:
     using iterator_category = std::input_iterator_tag;
@@ -59,75 +110,68 @@ class RenderLog {
     using reference = RenderEvent;
 
     iterator() = default;
-    RenderEvent operator*() const { return decode(*it_); }
+    RenderEvent operator*() const { return ev_; }
     iterator& operator++() {
-      ++it_;
+      if (++i_ < log_->size_) {
+        if (i_ % kChunkRecords == 0) cur_.codec.reset();
+        ev_ = cur_.next(*log_);
+      }
       return *this;
     }
     iterator operator++(int) {
       iterator old = *this;
-      ++it_;
+      ++*this;
       return old;
     }
-    friend bool operator==(const iterator&, const iterator&) = default;
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.i_ == b.i_;
+    }
 
    private:
     friend class RenderLog;
-    explicit iterator(std::deque<Record>::const_iterator it) : it_(it) {}
-    std::deque<Record>::const_iterator it_;
+    iterator(const RenderLog& log, std::size_t i);
+
+    const RenderLog* log_{nullptr};
+    std::size_t i_{0};
+    Cursor cur_;
+    RenderEvent ev_{};
   };
 
-  /// Append one unit. Throws `std::out_of_range`, leaving the log
-  /// unchanged, when pts or true_time is outside [kMinUs, kMaxUs].
-  void push_back(const RenderEvent& ev) {
-    if (!fits(ev.pts.us) || !fits(ev.true_time.us)) {
-      throw std::out_of_range("RenderLog: time outside +-2^47 us");
-    }
-    records_.push_back(
-        Record{pack(ev.pts.us, ev.stream_id),
-               pack(ev.true_time.us, static_cast<std::uint16_t>(ev.type))});
-  }
+  RenderLog() = default;
+  RenderLog(const RenderLog& o);
+  /// Leaves \p o empty.
+  RenderLog(RenderLog&& o) noexcept;
+  RenderLog& operator=(RenderLog o) noexcept;
+  friend void swap(RenderLog& a, RenderLog& b) noexcept;
 
-  std::size_t size() const { return records_.size(); }
-  bool empty() const { return records_.empty(); }
-  RenderEvent operator[](std::size_t i) const { return decode(records_[i]); }
+  /// Append one unit. Throws `std::out_of_range`, leaving the log
+  /// unchanged, when pts or true_time is outside [kMinUs, kMaxUs], and
+  /// `std::length_error` past 2^22 blocks (~4 GiB).
+  void push_back(const RenderEvent& ev);
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  RenderEvent operator[](std::size_t i) const;
   /// Precondition: !empty().
-  RenderEvent front() const { return decode(records_.front()); }
+  RenderEvent front() const { return (*this)[0]; }
   /// Precondition: !empty().
-  RenderEvent back() const { return decode(records_.back()); }
-  iterator begin() const { return iterator(records_.begin()); }
-  iterator end() const { return iterator(records_.end()); }
+  RenderEvent back() const { return last_; }
+  iterator begin() const { return iterator(*this, 0); }
+  iterator end() const { return iterator(*this, size_); }
 
  private:
-  static constexpr int kTimeBits = 48;
-  static constexpr std::uint64_t kTimeMask =
-      (std::uint64_t{1} << kTimeBits) - 1;
+  Cursor chunk_start(std::size_t chunk) const;
+  void add_block();
 
-  static constexpr bool fits(std::int64_t us) {
-    return us >= kMinUs && us <= kMaxUs;
-  }
-  static constexpr std::uint64_t pack(std::int64_t us, std::uint16_t tag) {
-    return (static_cast<std::uint64_t>(us) & kTimeMask) |
-           (std::uint64_t{tag} << kTimeBits);
-  }
-  /// Sign-extend the low 48 bits.
-  static constexpr std::int64_t time_of(std::uint64_t word) {
-    return static_cast<std::int64_t>(word << (64 - kTimeBits)) >>
-           (64 - kTimeBits);
-  }
-  static constexpr std::uint16_t tag_of(std::uint64_t word) {
-    return static_cast<std::uint16_t>(word >> kTimeBits);
-  }
-  static RenderEvent decode(const Record& r) {
-    return RenderEvent{static_cast<media::MediaType>(tag_of(r.time_type)),
-                       tag_of(r.pts_stream),
-                       net::SimDuration{time_of(r.pts_stream)},
-                       net::SimTime{time_of(r.time_type)}};
-  }
-
-  std::deque<Record> records_;
+  /// Names this log's bytes in the per-thread read cache; 0 while empty.
+  std::uint64_t id_{0};
+  std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;
+  /// Per chunk: block << 10 | byte within the block.
+  std::vector<std::uint32_t> index_;
+  std::uint8_t* put_{nullptr};  ///< next free byte of the last block
+  std::size_t size_{0};
+  Codec codec_;
+  RenderEvent last_{};
 };
-
-static_assert(RenderLog::kRecordBytes == 16);
 
 }  // namespace lod::streaming

@@ -45,6 +45,7 @@ struct SimHarness {
   }
 
   Transport& transport() { return net; }
+  std::size_t pending_timers() const { return sim.pending(); }
 
   /// Drive the event loop until \p pred holds or events run dry.
   bool run_until(const std::function<bool()>& pred) {
@@ -70,6 +71,8 @@ struct RealHarness {
   }
 
   Transport& transport() { return rt; }
+  /// Includes run_until's own poll and guard timers while it runs.
+  std::size_t pending_timers() const { return rt.pending_timers(); }
 
   bool run_until(const std::function<bool()>& pred) {
     bool ok = false;
@@ -399,6 +402,63 @@ TYPED_TEST(TransportConformance, EtpnPlayoutPresentsInScheduleOrder) {
   EXPECT_FALSE(p.episodes()[2].complete);  // s3, cut short by the seek
   EXPECT_EQ(p.episodes()[3].media_start, msec(20));
   EXPECT_TRUE(p.episodes()[4].complete);
+}
+
+/// A control transition issued from inside a media callback takes effect:
+/// seeking back to s2 from the callback that starts s3 replays s2 for its
+/// full 30 ms instead of being undone at the same instant, and the playout
+/// keeps exactly one timer armed.
+TYPED_TEST(TransportConformance, EtpnSeekFromInsideAMediaCallback) {
+  using core::Relation;
+  using core::TemporalSpec;
+  const auto slide = [](const char* name, std::int64_t ms) {
+    return TemporalSpec::object(name, 0, msec(ms));
+  };
+  const auto compiled = core::build_ocpn(TemporalSpec::relate(
+      Relation::kMeets,
+      TemporalSpec::relate(Relation::kMeets, slide("s1", 20),
+                           slide("s2", 30)),
+      slide("s3", 50)));
+  core::InteractivePlayout p(this->h.transport(), compiled.net,
+                             compiled.initial_marking());
+  std::vector<std::string> log;
+  // Timers pending at the same instant after s2 first starts (plain
+  // playback) and after the seek, each counted from a zero-delay probe
+  // that runs once the playout's own timer callback has returned.
+  std::optional<std::size_t> playing_timers;
+  std::optional<std::size_t> after_seek_timers;
+  auto probe = [&](std::optional<std::size_t>& into) {
+    this->h.transport().schedule_after(
+        usec(0), [&] { into = this->h.pending_timers(); });
+  };
+  p.on_media([&](core::PlaceId, const core::MediaBinding& m, bool started,
+                 SimDuration pos) {
+    log.push_back((started ? "+" : "-") + m.object_name + "@" +
+                  std::to_string(pos.us / 1000));
+    if (started && log.size() == 3) probe(playing_timers);
+    if (started && log.size() == 5) {
+      p.seek(msec(20));
+      probe(after_seek_timers);
+    }
+  });
+  p.start();
+  ASSERT_TRUE(this->h.run_until([&] { return p.finished(); }));
+  EXPECT_EQ(log, (std::vector<std::string>{"+s1@0", "-s1@20", "+s2@20",
+                                           "-s2@50", "+s3@50", "-s3@20",
+                                           "+s2@20", "-s2@50", "+s3@50",
+                                           "-s3@100"}));
+  ASSERT_EQ(p.episodes().size(), 5u);
+  const auto& replay = p.episodes()[3];
+  EXPECT_EQ(replay.media_start, msec(20));
+  EXPECT_TRUE(replay.complete);
+  // No zero-length s2 episode: the replay lasts its 30 ms of media.
+  EXPECT_GE(replay.wall_end - replay.wall_start, msec(25));
+  ASSERT_TRUE(playing_timers.has_value());
+  ASSERT_TRUE(after_seek_timers.has_value());
+  // The harness's own timers are the same at both probes; the playout holds
+  // one timer in each.
+  EXPECT_EQ(*after_seek_timers, *playing_timers);
+  EXPECT_EQ(p.media_now(), msec(100));
 }
 
 /// A foreign thread schedules and cancels while the loop fires: the wheel
