@@ -279,8 +279,9 @@ RenderEvent RenderLog::operator[](std::size_t i) const {
 RenderLog::iterator::iterator(const RenderLog& log, std::size_t i)
     : log_(&log), i_(i) {
   if (i_ < log.size_) {
-    cur_ = log.chunk_start(0);
+    cur_ = log.chunk_start(i_ / kChunkRecords);
     ev_ = cur_.next(log);
+    for (std::size_t k = i_ % kChunkRecords; k > 0; --k) ev_ = cur_.next(log);
   }
 }
 

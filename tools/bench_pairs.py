@@ -4,10 +4,11 @@
     python3 tools/bench_pairs.py --workload steady --pairs 10 \\
         [--seed 1] [--seconds 25] [--change REV] [--held-out-seed 7919] \\
         [--trace-pairs 3] [--claim sessions_per_cpu_s] [--what TEXT] \\
-        [--workdir DIR]
+        [--parent REV] [--workdir DIR]
 
-Measures --change (default HEAD) against its first parent; for uncommitted
-work, pass `--change $(git stash create)` after `git add -A`. Exports each
+Measures --change (default HEAD) against its first parent, or against
+--parent when the change spans several commits; for uncommitted work, pass
+`--change $(git stash create)` after `git add -A`. Exports each
 commit with `git archive` into its own directory under --workdir (default
 `.bench_pairs/`), so the working tree is never touched and each side builds
 its own `.bench_build/`. It then runs
@@ -204,6 +205,8 @@ def main() -> int:
                     help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--change", default="HEAD")
+    ap.add_argument("--parent", default=None,
+                    help="default: the change's first parent")
     ap.add_argument("--held-out-seed", type=int, default=None)
     ap.add_argument("--trace-pairs", type=int, default=0)
     ap.add_argument("--claim", default=None,
@@ -219,7 +222,7 @@ def main() -> int:
         sys.exit(f"bench_pairs: {args.claim} is not an end-to-end metric")
 
     change_rev = args.change
-    parent_rev = change_rev + "^"
+    parent_rev = args.parent or change_rev + "^"
     workdir = Path(args.workdir)
     sides = {"parent": export(parent_rev, workdir),
              "change": export(change_rev, workdir)}
