@@ -32,69 +32,27 @@ MultirateResult publish_multirate(WmpsNode& node, const PublishForm& form,
   return out;
 }
 
-AdaptivePlayer::AdaptivePlayer(net::Network& net, net::HostId host,
-                               Options opts, media::DrmSystem* drm)
-    : net_(net), host_(host), opts_(opts), drm_(drm) {}
-
-AdaptivePlayer::~AdaptivePlayer() {
-  *alive_ = false;
-  if (timer_) net_.simulator().cancel(*timer_);
-}
-
 void AdaptivePlayer::play(net::HostId server, std::vector<Rendition> ladder,
                           net::SimDuration from) {
-  server_ = server;
   ladder_ = std::move(ladder);
-  index_ = 0;
-  if (ladder_.empty()) return;
-  player_ = std::make_unique<streaming::Player>(net_, host_, opts_.player,
-                                                drm_);
-  player_->open_and_play(server_, ladder_[index_].url, from);
-  stalls_at_switch_ = 0;
-  timer_ = net_.simulator().schedule_after(opts_.check_interval,
-                                           [this, alive = alive_] {
-                                             if (!*alive) return;
-                                             timer_.reset();
-                                             watchdog();
-                                           });
+  switches_.clear();
+  std::vector<std::string> urls;
+  for (const auto& r : ladder_) urls.push_back(r.url);
+  player_.open_and_play_ladder(server, std::move(urls), from);
 }
 
-void AdaptivePlayer::watchdog() {
-  if (!player_ || player_->finished()) return;
-  const std::size_t stalls = player_->stalls().size() - stalls_at_switch_;
-  if (stalls >= opts_.stall_threshold && index_ + 1 < ladder_.size()) {
-    downshift();
+const std::vector<AdaptivePlayer::Switch>& AdaptivePlayer::switches() const {
+  const auto& shifts = player_.downshifts();
+  for (std::size_t i = switches_.size(); i < shifts.size(); ++i) {
+    switches_.push_back(Switch{shifts[i].at, ladder_[i].profile,
+                               ladder_[i + 1].profile, shifts[i].position});
   }
-  timer_ = net_.simulator().schedule_after(opts_.check_interval,
-                                           [this, alive = alive_] {
-                                             if (!*alive) return;
-                                             timer_.reset();
-                                             watchdog();
-                                           });
+  return switches_;
 }
 
-void AdaptivePlayer::downshift() {
-  const net::SimDuration pos = player_->position();
-  Switch sw;
-  sw.at = net_.simulator().now();
-  sw.from = ladder_[index_].profile;
-  sw.position = pos;
-  ++index_;
-  sw.to = ladder_[index_].profile;
-  switches_.push_back(sw);
-
-  // Tear the old session down and reopen the lower rendition at the same
-  // position. A fresh Player keeps the old one's render history out of the
-  // new session's bookkeeping; we keep the stall baseline at zero.
-  player_->stop();
-  // Destroy the old player BEFORE constructing the new one: both bind the
-  // same ports, and the old destructor's unbind must not strip the newly
-  // installed handlers.
-  player_.reset();
-  player_ = std::make_unique<streaming::Player>(net_, host_, opts_.player,
-                                                drm_);
-  player_->open_and_play(server_, ladder_[index_].url, pos);
-  stalls_at_switch_ = 0;
+const std::string& AdaptivePlayer::current_profile() const {
+  static const std::string kNone;
+  return ladder_.empty() ? kNone : ladder_[player_.rendition()].profile;
 }
 
 }  // namespace lod::lod

@@ -1,11 +1,9 @@
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "lod/lod/wmps.hpp"
-#include "lod/net/network.hpp"
 #include "lod/streaming/player.hpp"
 
 /// \file adaptive.hpp
@@ -19,10 +17,12 @@
 ///
 ///  - `publish_multirate` publishes one lecture under `<name>@<profile>` for
 ///    each requested profile (all sharing the slide directory).
-///  - `AdaptivePlayer` wraps a Player: it watches for stalls and, when the
-///    current profile keeps rebuffering, reopens the next lower rendition at
-///    the position it reached. Downshift only — upshift probing needs
-///    bandwidth estimation the paper-era clients did not have.
+///  - `AdaptivePlayer` hands that ladder to one `streaming::Player`. The
+///    player's session watchdog has two policies: starvation on a selector
+///    session fails over, and repeated stalls with a lower rendition left
+///    downshift. A downshift reopens the next rendition at the player's one
+///    resume point on the same session: same ports, render history and
+///    trace. This class only names the profiles involved.
 
 namespace lod::lod {
 
@@ -47,10 +47,6 @@ MultirateResult publish_multirate(WmpsNode& node, const PublishForm& form,
 class AdaptivePlayer {
  public:
   struct Options {
-    /// Consider downshifting after this many stalls on the current rendition.
-    std::size_t stall_threshold{2};
-    /// How often the watchdog looks at the player.
-    net::SimDuration check_interval{net::sec(2)};
     streaming::PlayerConfig player;
   };
 
@@ -62,41 +58,25 @@ class AdaptivePlayer {
     net::SimDuration position;
   };
 
-  AdaptivePlayer(net::Network& net, net::HostId host, Options opts,
-                 media::DrmSystem* drm = nullptr);
-  ~AdaptivePlayer();
-  AdaptivePlayer(const AdaptivePlayer&) = delete;
-  AdaptivePlayer& operator=(const AdaptivePlayer&) = delete;
+  AdaptivePlayer(net::Transport& net, net::HostId host, Options opts,
+                 media::DrmSystem* drm = nullptr)
+      : player_(net, host, opts.player, drm) {}
 
   /// Start playing the highest rendition of \p ladder from \p server.
   void play(net::HostId server, std::vector<Rendition> ladder,
             net::SimDuration from = {});
 
-  const streaming::Player& player() const { return *player_; }
-  streaming::Player& player() { return *player_; }
-  const std::vector<Switch>& switches() const { return switches_; }
-  const std::string& current_profile() const {
-    return ladder_.empty() ? empty_ : ladder_[index_].profile;
-  }
-  bool finished() const { return player_ && player_->finished(); }
+  const streaming::Player& player() const { return player_; }
+  streaming::Player& player() { return player_; }
+  const std::vector<Switch>& switches() const;
+  const std::string& current_profile() const;
+  bool finished() const { return player_.finished(); }
 
  private:
-  void watchdog();
-  void downshift();
-
-  net::Network& net_;
-  net::HostId host_;
-  Options opts_;
-  media::DrmSystem* drm_;
-  std::unique_ptr<streaming::Player> player_;
-  net::HostId server_{0};
+  streaming::Player player_;
   std::vector<Rendition> ladder_;
-  std::size_t index_{0};
-  std::size_t stalls_at_switch_{0};
-  std::vector<Switch> switches_;
-  std::optional<net::EventId> timer_;
-  std::string empty_;
-  std::shared_ptr<bool> alive_{std::make_shared<bool>(true)};
+  /// The player's downshifts with profile names, filled in on read.
+  mutable std::vector<Switch> switches_;
 };
 
 }  // namespace lod::lod

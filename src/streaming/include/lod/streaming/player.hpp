@@ -89,12 +89,15 @@ struct PlayerConfig {
   /// ETPN player's synchronized clock tracks the master, an OCPN player's
   /// raw clock shifts the whole rendering by its offset.
   std::optional<net::SimTime> scheduled_start;
-  /// Selector-driven sessions only: how long the stream may be starved (no
-  /// packets while opening/buffering, or stalled while playing) before the
-  /// player abandons the site and reopens at the selector's next pick.
-  /// <= 0 disables the watchdog.
+  /// The session watchdog's starvation policy (selector-driven sessions):
+  /// how long the stream may be starved (no packets while opening/buffering,
+  /// or stalled while playing) before the player abandons the site and
+  /// reopens at the selector's next pick. <= 0 disables that policy.
   net::SimDuration failover_timeout{net::msec(2000)};
-  /// How often the failover watchdog samples progress.
+  /// How often the one session watchdog samples progress. It serves both of
+  /// its policies: starvation failover (selector sessions) and downshift
+  /// after repeated stalls (sessions opened on a rendition ladder). Other
+  /// sessions run no watchdog.
   net::SimDuration failover_check_interval{net::msec(500)};
   /// Selector-driven sessions only: on a watchdog failover, freeze the
   /// session and ship a state image to the selector's next pick over the
@@ -236,6 +239,15 @@ class Player {
   void open_and_play_via(SiteSelector& sel, std::string content,
                          net::SimDuration from = {});
 
+  /// Adaptive streaming: \p renditions names one lecture at descending
+  /// bit-rates. Plays the first from \p server; after repeated stalls the
+  /// watchdog's downshift policy reopens the next one down, on this same
+  /// session, at `resume_point()`. Downshift only — upshift probing needs
+  /// bandwidth estimation the paper-era clients did not have.
+  void open_and_play_ladder(net::HostId server,
+                            std::vector<std::string> renditions,
+                            net::SimDuration from = {});
+
   /// Arrange an absolutely scheduled start (see PlayerConfig::scheduled_start).
   /// Must be called before rendering begins.
   void set_scheduled_start(net::SimTime master_start) {
@@ -309,6 +321,17 @@ class Player {
   /// Times a failover moved the session via the migration handshake
   /// (subset of failovers(); the rest re-described from scratch).
   std::uint64_t migrations() const { return migrations_; }
+  /// One downshift: when, the position the lower rendition resumed at, and
+  /// whether the higher one was stalled at the time.
+  struct Downshift {
+    net::SimTime at;
+    net::SimDuration position;
+    bool stalled{false};
+  };
+  /// This session's downshifts; the i-th went from rendition i to i + 1.
+  const std::vector<Downshift>& downshifts() const { return downshifts_; }
+  /// Index into the rendition ladder of what is playing (0 without one).
+  std::size_t rendition() const { return rendition_; }
   /// The content this session is (or was last) playing.
   const std::string& content() const { return content_; }
   /// The server-side session id (0 before kPlayOk).
@@ -353,23 +376,64 @@ class Player {
     kIdle, kOpening, kBuffering, kPlaying, kPaused, kFinished
   };
 
+  /// How a reopen obtains its new stream.
+  enum class Reopen : std::uint8_t {
+    kDescribe,  ///< DESCRIBE at the site, then PLAY (or JOIN a live channel)
+    kMigrate,   ///< ship the session over `/edge/migrate`; DESCRIBE on refusal
+    kReplay,    ///< same site and header: PLAY from the top (OCPN/XOCPN)
+  };
+  /// `resume_at` of a live join.
+  static constexpr net::SimDuration kLiveJoin{-1};
+  /// Downshift once this many stalls hit one rendition.
+  static constexpr std::size_t kDownshiftStalls = 2;
+
+  /// Shared start of every user-facing open: the selector and rendition
+  /// ladder this session uses (either may be empty) and its trace.
+  void begin_session(SiteSelector* sel, std::vector<std::string> renditions);
   /// Mint the per-session trace + root span (user-facing opens only; a
-  /// failover reopen stays inside the original session's trace).
+  /// reopen stays inside the original session's trace).
   void begin_session_trace();
-  /// Shared open path for `open_and_play` / `open_and_play_via` / failover.
-  void open_to(net::HostId server, std::string content, net::SimDuration from);
-  /// (Re)start the progress watchdog (selector-driven sessions only).
-  void arm_failover_watchdog();
+  /// The one way a session moves to a new stream: user opens, live joins,
+  /// failover, the migration handshake and its fallback, OCPN restarts and
+  /// downshifts all end here. Drops the old stream's receive state and plays
+  /// \p content at \p site from \p resume_at (kLiveJoin: join live).
+  void reopen(net::HostId site, std::string content,
+              net::SimDuration resume_at, Reopen how = Reopen::kDescribe);
+  /// The one resume rule of a reopen: never before the pending open/seek
+  /// target; the last rendered pts + 1 µs while stalled; `position()` while
+  /// playing or paused.
+  net::SimDuration resume_point() const;
+  /// Drop the buffered media, scripts and receive bookkeeping of the current
+  /// stream position (a reopen and an in-session seek).
+  void reset_stream();
+  /// The one Demuxer construction: fresh reassembly state over `header_`,
+  /// licensed when the content is protected.
+  void new_demuxer();
+  /// XOCPN/ETPN: hold a QoS channel from the serving site sized to the
+  /// content's bit-rate at playback \p rate (resized in place when held).
+  void reserve_channel(double rate);
+  void release_channel();
+  /// (Re)start the session watchdog if a policy applies; \p restart resets
+  /// its starvation baseline.
+  void arm_watchdog(bool restart = true);
   void watchdog_tick();
-  /// Abandon the current site and reopen at the selector's next pick.
+  /// Starvation policy: abandon the site, reopen at the selector's next pick.
   void do_failover();
+  /// Downshift policy: reopen the next rendition down on this session.
+  void downshift();
   /// Freeze the session and ship its image to \p next over `/edge/migrate`;
-  /// on any failure fall back to the re-describe reopen at \p resume_at.
+  /// on any failure fall back to the re-describe reopen.
   void start_migration(net::HostId next, net::SimDuration resume_at);
   /// Adopt the replica's session (200 reply): swap the serving site without
-  /// touching the jitter buffer or the render clock.
-  void complete_migration(net::HostId next, std::uint64_t session_id,
-                          std::uint32_t start_index);
+  /// touching the jitter buffer or the render clock, then replay held verbs.
+  void complete_migration(net::HostId next, std::uint64_t session_id);
+  /// The one builder for session-scoped control frames: \p tag, \p session,
+  /// then \p args, to \p site's control port.
+  void send_ctl(net::HostId site, proto::Ctl tag, std::uint64_t session,
+                std::span<const std::byte> args = {});
+  /// A user verb for the current session. Held while a migration handshake
+  /// is in flight and replayed to the adopted session.
+  void send_verb(proto::Ctl tag, std::span<const std::byte> args = {});
   void handle_control(const net::ReliableEndpoint::Message& m);
   void handle_data(const net::Datagram& p);
   /// Terminal decode: feed serialized packet bytes to the demuxer (dropping
@@ -386,7 +450,6 @@ class Player {
   void handle_eos();
   void on_described(std::span<const std::byte> header_bytes);
   void send_play(net::SimDuration from);
-  void start_clock_sync_loop();
   void run_clock_sync();
   void maybe_start_rendering();
   void arm_render_timer();
@@ -403,11 +466,10 @@ class Player {
   net::SimTime local_now() const;
   void cancel_timer(std::optional<net::EventId>& timer);
   net::SimDuration effective_preroll() const;
-  void restart_from_top(net::SimDuration target);  // OCPN/XOCPN fallback
-  /// Drop all per-session receive state (buffer, scripts, demux bookkeeping).
-  void reset_session_state();
   /// Tell the serving site this session is over (kStop / kLeaveLive), once.
   void send_session_stop();
+  /// Close the phase span \p span (if open) under the session.
+  void end_phase(std::uint64_t& span, const char* name, std::int64_t a = 0);
   /// Transition to kFinished and cancel all periodic timers.
   void enter_finished();
   /// True-time instant at which the unit with presentation time \p pts is due.
@@ -424,6 +486,11 @@ class Player {
   State state_{State::kIdle};
   net::HostId server_{0};
   SiteSelector* selector_{nullptr};
+  /// Rendition ladder (adaptive sessions), highest bit-rate first.
+  std::vector<std::string> ladder_;
+  std::size_t rendition_{0};
+  std::size_t stalls_at_switch_{0};  ///< stalls_.size() at the last switch
+  std::vector<Downshift> downshifts_;
   std::string content_;
   std::uint64_t session_{0};
   bool live_{false};
@@ -474,6 +541,8 @@ class Player {
   bool migration_inflight_{false};
   std::uint64_t migration_token_{0};
   net::HostId migration_target_{0};
+  /// User verbs issued during the handshake, for the adopted session.
+  std::vector<std::pair<proto::Ctl, std::vector<std::byte>>> held_verbs_;
   /// Lazily bound on first migration so migration-free runs publish no
   /// `lod.player.migrations` series (keeps the sim-transport golden stable).
   obs::Counter m_migrations_;
@@ -502,7 +571,7 @@ class Player {
   /// sink is disabled at open time.
   obs::TraceContext session_ctx_;
   std::uint64_t session_span_{0};   ///< "player.session" root span
-  std::uint64_t describe_span_{0};  ///< open_to -> kDescribeOk
+  std::uint64_t describe_span_{0};  ///< reopen -> kDescribeOk
   std::uint64_t startup_span_{0};   ///< kPlayIssued -> rendering starts
   std::uint64_t failover_span_{0};  ///< do_failover -> rendering resumes
   obs::Counter m_packets_received_;

@@ -48,10 +48,10 @@ Player::Player(net::Transport& net, net::HostId host, PlayerConfig cfg,
 
 Player::~Player() {
   *alive_ = false;
-  if (render_timer_) net_.cancel(*render_timer_);
-  if (sync_timer_) net_.cancel(*sync_timer_);
-  if (failover_timer_) net_.cancel(*failover_timer_);
-  if (channel_ != 0) net_.release_channel(channel_);
+  cancel_timer(render_timer_);
+  cancel_timer(sync_timer_);
+  cancel_timer(failover_timer_);
+  release_channel();
 }
 
 net::SimTime Player::local_now() const { return net_.local_now(host_); }
@@ -59,6 +59,13 @@ net::SimTime Player::local_now() const { return net_.local_now(host_); }
 void Player::cancel_timer(std::optional<net::EventId>& timer) {
   if (timer) net_.cancel(*timer);
   timer.reset();
+}
+
+void Player::end_phase(std::uint64_t& span, const char* name,
+                       std::int64_t a) {
+  if (span == 0) return;
+  trace_->end_span(session_ctx_, span, name, host_, a);
+  span = 0;
 }
 
 void Player::enter_finished() {
@@ -70,18 +77,9 @@ void Player::enter_finished() {
   if (session_span_ != 0) {
     // Close the in-flight phase spans before the session root so the tree
     // nests cleanly even when the session ends mid-open or mid-failover.
-    if (describe_span_ != 0) {
-      trace_->end_span(session_ctx_, describe_span_, "player.describe", host_);
-      describe_span_ = 0;
-    }
-    if (startup_span_ != 0) {
-      trace_->end_span(session_ctx_, startup_span_, "player.startup", host_);
-      startup_span_ = 0;
-    }
-    if (failover_span_ != 0) {
-      trace_->end_span(session_ctx_, failover_span_, "player.failover", host_);
-      failover_span_ = 0;
-    }
+    end_phase(describe_span_, "player.describe");
+    end_phase(startup_span_, "player.startup");
+    end_phase(failover_span_, "player.failover");
     const obs::TraceContext root{session_ctx_.trace_id, 0};
     trace_->end_span(root, session_span_, "player.session", host_,
                      static_cast<std::int64_t>(failovers_));
@@ -100,44 +98,82 @@ net::SimDuration Player::effective_preroll() const {
 
 // --- session setup ---------------------------------------------------------------
 
-void Player::reset_session_state() {
+void Player::reset_stream() {
+  cancel_timer(render_timer_);
+  waiting_since_.reset();
   buffer_.clear();
   scripts_.clear();
   pending_slide_.reset();
-  awaiting_display_.clear();
-  session_ = 0;
   eos_received_ = false;
   expected_seq_reset_ = true;
   highest_index_ = -1;
+  max_index_seen_ = -1;
   received_index_.clear();
-
+  nack_attempts_.clear();
   reorder_.clear();
   next_feed_ = -1;
-  nack_attempts_.clear();
   repair_total_ = -1;
   eos_deferrals_ = 0;
-  stream_epoch_ = 0;
-  max_index_seen_ = -1;
-  // Any in-flight migration handshake is obsolete the moment a reopen
-  // starts; the token bump makes its eventual reply a no-op.
-  migration_inflight_ = false;
-  ++migration_token_;
-  waiting_since_.reset();
-  cancel_timer(render_timer_);
+}
+
+void Player::new_demuxer() {
+  demux_ = std::make_unique<media::asf::Demuxer>(header_);
+  if (license_) demux_->set_license(drm_, *license_, cfg_.user);
+}
+
+void Player::reserve_channel(double rate) {
+  if (cfg_.model == SyncModel::kOcpn || header_.props.avg_bitrate_bps <= 0) {
+    return;
+  }
+  const auto bps = static_cast<std::int64_t>(
+      static_cast<double>(header_.props.avg_bitrate_bps) *
+      cfg_.channel_headroom * rate);
+  if (channel_ == 0) {
+    if (auto ch = net_.reserve_channel(server_, host_, bps)) channel_ = *ch;
+  } else if (!net_.resize_channel(channel_, bps)) {
+    release_channel();  // no capacity for that rate: drop to best effort
+  }
+}
+
+void Player::release_channel() {
+  if (channel_ != 0) net_.release_channel(channel_);
+  channel_ = 0;
+}
+
+void Player::begin_session(SiteSelector* sel,
+                           std::vector<std::string> renditions) {
+  selector_ = sel;
+  ladder_ = std::move(renditions);
+  rendition_ = 0;
+  stalls_at_switch_ = stalls_.size();
+  downshifts_.clear();
+  begin_session_trace();
 }
 
 void Player::open_and_play(net::HostId server, std::string content,
                            net::SimDuration from) {
-  selector_ = nullptr;
-  begin_session_trace();
-  open_to(server, std::move(content), from);
+  begin_session(nullptr, {});
+  reopen(server, std::move(content), from);
 }
 
 void Player::open_and_play_via(SiteSelector& sel, std::string content,
                                net::SimDuration from) {
-  selector_ = &sel;
-  begin_session_trace();
-  open_to(sel.pick_site(), std::move(content), from);
+  begin_session(&sel, {});
+  reopen(sel.pick_site(), std::move(content), from);
+}
+
+void Player::open_and_play_ladder(net::HostId server,
+                                  std::vector<std::string> renditions,
+                                  net::SimDuration from) {
+  if (renditions.empty()) return;
+  std::string top = renditions.front();
+  begin_session(nullptr, std::move(renditions));
+  reopen(server, std::move(top), from);
+}
+
+void Player::join_live(net::HostId server, std::string name) {
+  begin_session(nullptr, {});
+  reopen(server, std::move(name), kLiveJoin);
 }
 
 void Player::begin_session_trace() {
@@ -161,67 +197,105 @@ void Player::restore_session_trace(std::uint64_t trace_id,
   adopted_trace_ = trace_id != 0;
 }
 
-void Player::open_to(net::HostId server, std::string content,
-                     net::SimDuration from) {
-  reset_session_state();
-  server_ = server;
-  content_ = std::move(content);
-  live_ = false;
-  state_ = State::kOpening;
-  discard_below_ = from;  // render begins at the requested position
-
-  describe_span_ = trace_->begin_span(session_ctx_, "player.describe", host_,
-                                      static_cast<std::int64_t>(server_));
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(Ctl::kDescribe));
-  w.str(content_);
-  // Causal context piggybacks at the tail; pre-span receivers simply stop
-  // reading before it.
-  w.u64(session_ctx_.trace_id);
-  w.u64(describe_span_);
-  describe_sent_ = net_.now();
-  ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
-  if (selector_) arm_failover_watchdog();
+net::SimDuration Player::resume_point() const {
+  // Never before the pending open/seek target. While stalled, just past the
+  // last unit actually shown: position() keeps advancing through a stall
+  // and would skip media that never rendered, and discard_below_ is a
+  // strict lower bound, so resuming AT that unit would show it twice.
+  // Otherwise where the viewer is: the render cursor, or the pause point.
+  net::SimDuration at =
+      discard_below_.us >= 0 ? discard_below_ : net::SimDuration{0};
+  if (state_ == State::kPlaying && waiting_since_) {
+    if (!rendered_.empty()) {
+      at = std::max(at, rendered_.back().pts + net::SimDuration{1});
+    }
+  } else if (state_ == State::kPlaying || state_ == State::kPaused) {
+    at = std::max(at, position());
+  }
+  return at;
 }
 
-void Player::join_live(net::HostId server, std::string name) {
-  // Route the join through the shared open path: a reused Player would
-  // otherwise inherit the previous session's reorder/NACK/timer state, and
-  // its spans would dangle with no session root. open_to sends the DESCRIBE
-  // with the trace context piggybacked, exactly like a VOD open.
-  selector_ = nullptr;
-  begin_session_trace();
-  open_to(server, std::move(name), net::SimDuration{-1});
-  live_ = true;
+void Player::reopen(net::HostId site, std::string content,
+                    net::SimDuration resume_at, Reopen how) {
+  // A QoS reservation is bound to the old path and bit-rate; the new stream
+  // reserves its own once its header is known.
+  if (how != Reopen::kReplay) release_channel();
+  if (how == Reopen::kMigrate) {
+    start_migration(site, resume_at);
+  } else {
+    reset_stream();
+    session_ = 0;
+    stream_epoch_ = 0;
+    awaiting_display_.clear();
+    // Any in-flight migration handshake is obsolete the moment a reopen
+    // starts; the token bump makes its eventual reply a no-op.
+    migration_inflight_ = false;
+    ++migration_token_;
+    held_verbs_.clear();
+    server_ = site;
+    content_ = std::move(content);
+    discard_below_ = resume_at;  // render begins at the requested position
+    if (how == Reopen::kReplay) {
+      new_demuxer();
+      send_play(net::SimDuration{0});
+    } else {
+      live_ = resume_at.us < 0;
+      state_ = State::kOpening;
+      demux_.reset();  // nothing is ingested until the new header is known
+      describe_span_ = trace_->begin_span(session_ctx_, "player.describe",
+                                          host_,
+                                          static_cast<std::int64_t>(server_));
+      ByteWriter w;
+      w.u8(static_cast<std::uint8_t>(Ctl::kDescribe));
+      w.str(content_);
+      // Causal context piggybacks at the tail; pre-span receivers simply
+      // stop reading before it.
+      w.u64(session_ctx_.trace_id);
+      w.u64(describe_span_);
+      describe_sent_ = net_.now();
+      ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
+    }
+  }
+  arm_watchdog();
+}
+
+void Player::send_ctl(net::HostId site, Ctl tag, std::uint64_t session,
+                      std::span<const std::byte> args) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(tag));
+  w.u64(session);
+  w.raw(args);
+  ctl_.send_to(site, cfg_.server_port, std::move(w).take());
+}
+
+void Player::send_verb(Ctl tag, std::span<const std::byte> args) {
+  if (migration_inflight_) {
+    // The site being abandoned would act on it and the adopting one would
+    // never hear of it: hold the verb for the adopted session instead.
+    held_verbs_.emplace_back(tag,
+                             std::vector<std::byte>(args.begin(), args.end()));
+    return;
+  }
+  send_ctl(server_, tag, session_, args);
 }
 
 void Player::on_described(std::span<const std::byte> header_bytes) {
   header_ = media::asf::parse_header(header_bytes);
-  demux_ = std::make_unique<media::asf::Demuxer>(header_);
 
   // DRM: "mandatory for rendering" — acquire a license or render nothing.
-  if (header_.drm.is_protected) {
-    if (drm_) {
-      license_ = drm_->issue_license(header_.drm.key_id, cfg_.user,
-                                     net::SimTime::max());
-    }
-    if (license_) {
-      demux_->set_license(drm_, *license_, cfg_.user);
-    } else {
-      drm_blocked_ = true;
-    }
+  license_.reset();
+  if (header_.drm.is_protected && drm_) {
+    license_ = drm_->issue_license(header_.drm.key_id, cfg_.user,
+                                   net::SimTime::max());
   }
+  if (header_.drm.is_protected && !license_) drm_blocked_ = true;
+  new_demuxer();
 
   // XOCPN/ETPN: reserve a QoS channel sized to the content's bit-rate.
-  if (cfg_.model != SyncModel::kOcpn && header_.props.avg_bitrate_bps > 0) {
-    const auto rate = static_cast<std::int64_t>(
-        static_cast<double>(header_.props.avg_bitrate_bps) *
-        cfg_.channel_headroom);
-    if (auto ch = net_.reserve_channel(server_, host_, rate)) channel_ = *ch;
-  }
+  reserve_channel(1.0);
 
   // ETPN: synchronize the local clock against the server, now and periodically.
-  if (cfg_.model == SyncModel::kEtpn) start_clock_sync_loop();
+  if (cfg_.model == SyncModel::kEtpn) run_clock_sync();
 
   if (live_) {
     ByteWriter w;
@@ -267,10 +341,7 @@ void Player::send_play(net::SimDuration from) {
 
 void Player::send_session_stop() {
   if (session_ == 0) return;
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(live_ ? Ctl::kLeaveLive : Ctl::kStop));
-  w.u64(session_);
-  ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
+  send_ctl(server_, live_ ? Ctl::kLeaveLive : Ctl::kStop, session_);
   session_ = 0;  // closed: later stop()/finish paths must not re-send
 }
 
@@ -279,13 +350,17 @@ void Player::stop() {
   enter_finished();
 }
 
-// --- failover watchdog (selector-driven sessions) -----------------------------------
+// --- the session watchdog: starvation failover and rendition downshift ---------------
 
-void Player::arm_failover_watchdog() {
+void Player::arm_watchdog(bool restart) {
   cancel_timer(failover_timer_);
-  if (!selector_ || cfg_.failover_timeout.us <= 0) return;
-  watchdog_last_packets_ = packets_received_;
-  watchdog_stuck_since_ = net_.now();
+  const bool failover_policy = selector_ && cfg_.failover_timeout.us > 0;
+  const bool downshift_policy = rendition_ + 1 < ladder_.size();
+  if (!failover_policy && !downshift_policy) return;
+  if (restart) {
+    watchdog_last_packets_ = packets_received_;
+    watchdog_stuck_since_ = net_.now();
+  }
   failover_timer_ = net_.schedule_after(
       cfg_.failover_check_interval, [this, alive = alive_] {
         if (!*alive) return;
@@ -295,31 +370,37 @@ void Player::arm_failover_watchdog() {
 }
 
 void Player::watchdog_tick() {
-  if (!selector_ || state_ == State::kFinished || state_ == State::kIdle) {
+  if (state_ == State::kFinished || state_ == State::kIdle) return;
+  // Starvation (selector sessions) = the site owes us data and none is
+  // arriving. A paused session and smooth playback owe nothing.
+  const bool owed = state_ == State::kOpening || state_ == State::kBuffering ||
+                    (state_ == State::kPlaying && waiting_since_);
+  const bool starved = selector_ && cfg_.failover_timeout.us > 0 && owed &&
+                       packets_received_ == watchdog_last_packets_;
+  if (starved &&
+      net_.now() - watchdog_stuck_since_ >= cfg_.failover_timeout) {
+    do_failover();
+    return;  // the reopen re-armed the watchdog
+  }
+  // Repeated stalls with a lower rendition left: the current one is more
+  // than the path can carry.
+  if (rendition_ + 1 < ladder_.size() && state_ != State::kPaused &&
+      stalls_.size() - stalls_at_switch_ >= kDownshiftStalls) {
+    downshift();
     return;
   }
-  const net::SimTime now = net_.now();
-  // Starvation = the site owes us data and none is arriving. A paused
-  // session and smooth playback owe nothing.
-  bool starved = false;
-  if (state_ == State::kOpening || state_ == State::kBuffering) {
-    starved = packets_received_ == watchdog_last_packets_;
-  } else if (state_ == State::kPlaying && waiting_since_) {
-    starved = packets_received_ == watchdog_last_packets_;
-  }
-  if (!starved) {
-    watchdog_last_packets_ = packets_received_;
-    watchdog_stuck_since_ = now;
-  } else if (now - watchdog_stuck_since_ >= cfg_.failover_timeout) {
-    do_failover();
-    return;  // open_to re-armed the watchdog
-  }
-  failover_timer_ = net_.schedule_after(
-      cfg_.failover_check_interval, [this, alive = alive_] {
-        if (!*alive) return;
-        failover_timer_.reset();
-        watchdog_tick();
-      });
+  arm_watchdog(/*restart=*/!starved);
+}
+
+void Player::downshift() {
+  const net::SimDuration at = resume_point();
+  downshifts_.push_back(Downshift{net_.now(), at,
+                                  state_ == State::kPlaying &&
+                                      waiting_since_.has_value()});
+  stalls_at_switch_ = stalls_.size();
+  send_session_stop();  // the higher rendition's session is over
+  ++rendition_;
+  reopen(server_, ladder_[rendition_], at);
 }
 
 void Player::do_failover() {
@@ -331,46 +412,21 @@ void Player::do_failover() {
     failover_span_ = trace_->begin_span(session_ctx_, "player.failover", host_,
                                         static_cast<std::int64_t>(server_));
   }
-  // Resume where the viewer actually is, never before the pending open/seek
-  // target: the render cursor in smooth playback, the last unit actually
-  // shown while starved (position() keeps advancing through a stall and
-  // would overshoot media that never rendered), the pause position while
-  // paused. Resuming from the original `from` offset here used to replay
-  // every already-rendered segment on a mid-playout failover.
-  net::SimDuration resume_at =
-      discard_below_.us >= 0 ? discard_below_ : net::SimDuration{0};
-  if (state_ == State::kPlaying && waiting_since_) {
-    if (!rendered_.empty()) {
-      // +1us past the last unit actually shown: discard_below_ is a
-      // strict lower bound, so resuming AT the unit would show it twice.
-      resume_at =
-          std::max(resume_at, rendered_.back().pts + net::SimDuration{1});
-    }
-  } else if (state_ == State::kPlaying || state_ == State::kPaused) {
-    resume_at = std::max(resume_at, position());
-  }
-  // The QoS reservation follows the old path; drop it and let the reopen
-  // reserve against the new site.
-  if (channel_ != 0) {
-    net_.release_channel(channel_);
-    channel_ = 0;
-  }
   // A watchdog firing while a migration RPC is still in flight means the
-  // migration TARGET went quiet too: that is the site to mark down, and the
-  // token bump turns the stale reply (if it ever lands) into a no-op.
+  // migration TARGET went quiet too: that is the site to mark down.
   const net::HostId failed = migration_inflight_ ? migration_target_ : server_;
-  migration_inflight_ = false;
-  ++migration_token_;
   const net::HostId next = selector_->failover_from(failed);
-  if (cfg_.migrate_on_failover && !live_ && demux_ &&
-      state_ != State::kOpening) {
-    start_migration(next, resume_at);
-    return;
-  }
-  open_to(next, content_, resume_at);
+  const bool migrate = cfg_.migrate_on_failover && !live_ && demux_ &&
+                       state_ != State::kOpening;
+  reopen(next, content_, resume_point(),
+         migrate ? Reopen::kMigrate : Reopen::kDescribe);
 }
 
 void Player::start_migration(net::HostId next, net::SimDuration resume_at) {
+  // A new handshake ships the session's current state, so verbs held for
+  // a superseded one are already in the image; the token bump turns that
+  // handshake's reply (if it ever lands) into a no-op.
+  held_verbs_.clear();
   const std::uint64_t token = ++migration_token_;
   migration_inflight_ = true;
   migration_target_ = next;
@@ -412,59 +468,47 @@ void Player::start_migration(net::HostId next, net::SimDuration resume_at) {
       next,
       static_cast<net::Port>(cfg_.server_port + proto::kMigratePortOffset),
       "/edge/migrate", std::move(w).take(),
-      [this, alive = alive_, token, next,
-       resume_at](net::Result<net::RpcReply> r) {
+      [this, alive = alive_, token, next](net::Result<net::RpcReply> r) {
         if (!*alive || token != migration_token_) return;
         migration_inflight_ = false;
-        if (!r || r->status != 200) {
+        std::uint64_t sid = 0;
+        try {
+          if (r && r->status == 200) {
+            ByteReader rr(r->body);
+            sid = rr.u64();
+            (void)rr.u32();  // the replica's first packet index
+          }
+        } catch (const std::exception&) {
+          sid = 0;
+        }
+        if (sid == 0) {
           // The replica cannot adopt (cold meta, pre-migration build,
           // timeout): fall back to the re-describe reopen, which knows how
-          // to park and warm up.
-          open_to(next, content_, resume_at);
+          // to park and warm up. A verb issued meanwhile moved the target.
+          reopen(next, content_, resume_point());
           return;
         }
-        std::uint64_t sid = 0;
-        std::uint32_t start = 0;
-        try {
-          ByteReader rr(r->body);
-          sid = rr.u64();
-          start = rr.u32();
-        } catch (const std::exception&) {
-          open_to(next, content_, resume_at);
-          return;
-        }
-        complete_migration(next, sid, start);
+        complete_migration(next, sid);
       },
       opts);
-  // Keep the watchdog running through the handshake; if the target answers
-  // nothing at all the next failover marks IT down (see do_failover).
-  arm_failover_watchdog();
+  // The watchdog keeps running through the handshake (the reopen re-arms
+  // it); if the target answers nothing at all the next failover marks IT
+  // down (see do_failover).
 }
 
-void Player::complete_migration(net::HostId next, std::uint64_t session_id,
-                                std::uint32_t start_index) {
-  (void)start_index;  // informational: the replica's first packet index
+void Player::complete_migration(net::HostId next, std::uint64_t session_id) {
   ++migrations_;
   m_migrations_.inc();
   if (state_ == State::kFinished || state_ == State::kIdle) {
     // Playback ended while the handshake was in flight: release the adopted
     // session instead of leaking it on the new replica.
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(Ctl::kStop));
-    w.u64(session_id);
-    ctl_.send_to(next, cfg_.server_port, std::move(w).take());
+    send_ctl(next, Ctl::kStop, session_id);
     return;
   }
   server_ = next;
   session_ = session_id;
   expected_seq_reset_ = true;  // the replica's transmission counter is fresh
-  // The QoS reservation follows the new path.
-  if (cfg_.model != SyncModel::kOcpn && header_.props.avg_bitrate_bps > 0) {
-    const auto rate = static_cast<std::int64_t>(
-        static_cast<double>(header_.props.avg_bitrate_bps) *
-        cfg_.channel_headroom * clock_.rate());
-    if (auto ch = net_.reserve_channel(server_, host_, rate)) channel_ = *ch;
-  }
+  reserve_channel(clock_.rate());  // the QoS reservation follows the new path
   // ETPN: the clock discipline must track the new serving site.
   if (cfg_.model == SyncModel::kEtpn) {
     cancel_timer(sync_timer_);
@@ -474,20 +518,20 @@ void Player::complete_migration(net::HostId next, std::uint64_t session_id,
   // the kPlay path — one open event per session per site.)
   // Rendering never stopped (the jitter buffer carried the handshake), so
   // the failover episode is over the moment the session is adopted.
-  if (failover_span_ != 0 &&
-      (state_ == State::kPlaying || state_ == State::kPaused)) {
-    trace_->end_span(session_ctx_, failover_span_, "player.failover", host_,
-                     static_cast<std::int64_t>(server_));
-    failover_span_ = 0;
+  if (state_ == State::kPlaying || state_ == State::kPaused) {
+    end_phase(failover_span_, "player.failover",
+              static_cast<std::int64_t>(server_));
   }
-  arm_failover_watchdog();
+  arm_watchdog();
+  // The image described the session as it was when the handshake began;
+  // bring the adopted session up to the viewer's later verbs.
+  for (const auto& [tag, args] : held_verbs_) {
+    send_ctl(server_, tag, session_, args);
+  }
+  held_verbs_.clear();
 }
 
 // --- clock synchronization (ETPN) ---------------------------------------------------
-
-void Player::start_clock_sync_loop() {
-  run_clock_sync();
-}
 
 void Player::run_clock_sync() {
   ByteWriter w;
@@ -517,11 +561,8 @@ void Player::handle_control(const net::ReliableEndpoint::Message& m) {
         selector_->observe(server_,
                            (net_.now() - describe_sent_) / 2);
       }
-      if (describe_span_ != 0) {
-        trace_->end_span(session_ctx_, describe_span_, "player.describe",
-                         host_, static_cast<std::int64_t>(server_));
-        describe_span_ = 0;
-      }
+      end_phase(describe_span_, "player.describe",
+                static_cast<std::int64_t>(server_));
       const auto hb = r.blob();
       on_described(hb);
       return;
@@ -582,11 +623,8 @@ void Player::handle_eos() {
     }
     // Flush whatever is still held (holes included) before finishing.
     while (!reorder_.empty()) {
-      auto it = reorder_.begin();
-      net::Payload bytes = std::move(it->second);
-      next_feed_ = static_cast<std::int64_t>(it->first) + 1;
-      reorder_.erase(it);
-      ingest_bytes(bytes);
+      next_feed_ = static_cast<std::int64_t>(reorder_.begin()->first);
+      drain_reorder();
     }
   }
   eos_received_ = true;
@@ -679,12 +717,10 @@ void Player::request_repair(std::uint32_t first, std::uint32_t last) {
   if (trace_->enabled()) {
     trace_->emit(obs::EventType::kRepairRequest, host_, count);
   }
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(Ctl::kRepair));
-  w.u64(session_);
-  w.u32(count);
-  w.raw(idxw.bytes());
-  ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
+  ByteWriter args;
+  args.u32(count);
+  args.raw(idxw.bytes());
+  send_ctl(server_, Ctl::kRepair, session_, args.bytes());
 }
 
 void Player::arm_hole_timer() {
@@ -810,16 +846,9 @@ void Player::maybe_start_rendering() {
     startup_delay_ = net_.now() - play_issued_;
     m_startup_us_.observe(startup_delay_.us);
   }
-  if (startup_span_ != 0) {
-    trace_->end_span(session_ctx_, startup_span_, "player.startup", host_,
-                     startup_delay_.us);
-    startup_span_ = 0;
-  }
-  if (failover_span_ != 0) {
-    trace_->end_span(session_ctx_, failover_span_, "player.failover", host_,
-                     static_cast<std::int64_t>(server_));
-    failover_span_ = 0;
-  }
+  end_phase(startup_span_, "player.startup", startup_delay_.us);
+  end_phase(failover_span_, "player.failover",
+            static_cast<std::int64_t>(server_));
   if (pending_slide_) {
     // Apply the slide that should already be on screen at this position.
     auto cmd = *pending_slide_;
@@ -1100,26 +1129,16 @@ void Player::pause() {
   clock_.pause(position());
   note_interaction(InteractionRecord::Kind::kPause,
                    obs::EventType::kSessionPause);
-  cancel_timer(render_timer_);
-  waiting_since_.reset();
-
-  ByteWriter w;
   if (cfg_.model == SyncModel::kEtpn) {
     // The extended model pauses the schedule in place.
-    w.u8(static_cast<std::uint8_t>(Ctl::kPause));
-    w.u64(session_);
-    ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
+    cancel_timer(render_timer_);
+    waiting_since_.reset();
+    send_verb(Ctl::kPause);
   } else {
     // OCPN/XOCPN have no pause transition: the only legal move is to tear
     // the pre-orchestrated playout down. Resume must restart from the top.
-    w.u8(static_cast<std::uint8_t>(Ctl::kStop));
-    w.u64(session_);
-    ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
-    session_ = 0;
-    buffer_.clear();
-    scripts_.clear();
-    demux_ = std::make_unique<media::asf::Demuxer>(header_);
-    if (license_) demux_->set_license(drm_, *license_, cfg_.user);
+    send_session_stop();
+    reset_stream();
   }
   state_ = State::kPaused;
 }
@@ -1129,17 +1148,14 @@ void Player::resume() {
   note_interaction(InteractionRecord::Kind::kResume,
                    obs::EventType::kSessionResume);
   if (cfg_.model == SyncModel::kEtpn) {
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(Ctl::kResume));
-    w.u64(session_);
-    ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
+    send_verb(Ctl::kResume);
     // Rebase the render clock and keep going with whatever is buffered.
     clock_.resume(local_now());
     state_ = State::kPlaying;
     render_start_pending_ = true;
     arm_render_timer();
   } else {
-    restart_from_top(clock_.paused_at());
+    reopen(server_, content_, resume_point(), Reopen::kReplay);
   }
 }
 
@@ -1147,55 +1163,22 @@ void Player::seek(net::SimDuration to) {
   if (state_ == State::kIdle || state_ == State::kOpening || live_) return;
   note_interaction(InteractionRecord::Kind::kSeek, obs::EventType::kSessionSeek,
                    to.us, to);
-  cancel_timer(render_timer_);
-  waiting_since_.reset();
-
   if (cfg_.model == SyncModel::kEtpn) {
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(Ctl::kSeek));
-    w.u64(session_);
-    w.i64(to.us);
-    ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
-    buffer_.clear();
-    scripts_.clear();
-    pending_slide_.reset();
-    demux_ = std::make_unique<media::asf::Demuxer>(header_);
-    if (license_) demux_->set_license(drm_, *license_, cfg_.user);
+    ByteWriter args;
+    args.i64(to.us);
+    send_verb(Ctl::kSeek, args.bytes());
+    // The jump lands on a far-away packet index: restart the receive state
+    // or the gap would read as one enormous hole, and expect the server's
+    // next stream epoch so stragglers are dropped.
+    reset_stream();
+    new_demuxer();
     discard_below_ = to;
-    eos_received_ = false;  // the server will stream (and re-EOS) again
-    // The jump lands on a far-away packet index: restart the repair and
-    // reordering state or the gap would read as one enormous hole, and
-    // expect the server's next stream epoch so stragglers are dropped.
     ++stream_epoch_;
-    expected_seq_reset_ = true;
-    highest_index_ = -1;
-    max_index_seen_ = -1;
-    received_index_.clear();
-    nack_attempts_.clear();
-    reorder_.clear();
-    next_feed_ = -1;
-    repair_total_ = -1;
-    eos_deferrals_ = 0;
     state_ = State::kBuffering;
   } else {
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(Ctl::kStop));
-    w.u64(session_);
-    ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
-    session_ = 0;
-    restart_from_top(to);
+    send_session_stop();
+    reopen(server_, content_, to, Reopen::kReplay);
   }
-}
-
-void Player::restart_from_top(net::SimDuration target) {
-  // The pre-orchestrated models re-run the whole presentation and discard
-  // everything before the target — there is no transition in the net that
-  // could move the token state anywhere else.
-  reset_session_state();
-  demux_ = std::make_unique<media::asf::Demuxer>(header_);
-  if (license_) demux_->set_license(drm_, *license_, cfg_.user);
-  discard_below_ = target;
-  send_play(net::SimDuration{0});
 }
 
 void Player::set_rate(double rate) {
@@ -1212,27 +1195,13 @@ void Player::set_rate(double rate) {
                    permille);
   // Faster playback needs a fatter pipe: renegotiate the QoS channel for
   // the scaled bit-rate (XOCPN's "channels according to the required QoS").
-  // Resize in place — the same serializer keeps in-flight packets in order.
-  if (cfg_.model != SyncModel::kOcpn && header_.props.avg_bitrate_bps > 0) {
-    const auto scaled = static_cast<std::int64_t>(
-        static_cast<double>(header_.props.avg_bitrate_bps) *
-        cfg_.channel_headroom * rate);
-    if (channel_ != 0) {
-      if (!net_.resize_channel(channel_, scaled)) {
-        // No capacity for the faster rate: drop to best effort.
-        net_.release_channel(channel_);
-        channel_ = 0;
-      }
-    } else if (auto ch = net_.reserve_channel(server_, host_, scaled)) {
-      channel_ = *ch;
-    }
-  }
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(Ctl::kSetRate));
-  w.u64(session_);
-  w.u32(permille);
-  w.u32(channel_);
-  ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
+  // Mid-handshake there is no path to renegotiate on: adoption reserves at
+  // this rate.
+  if (!migration_inflight_) reserve_channel(rate);
+  ByteWriter args;
+  args.u32(permille);
+  args.u32(channel_);
+  send_verb(Ctl::kSetRate, args.bytes());
   if (state_ == State::kPlaying) arm_render_timer();
 }
 

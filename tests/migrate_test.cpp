@@ -267,6 +267,87 @@ TEST_F(MigrateFixture, MigrationHandshakeAdoptsSessionOnWarmReplica) {
   EXPECT_TRUE(saw_adopt);
 }
 
+// A seek issued while the migration handshake is in flight re-targets that
+// reopen: the verb reaches the adopted session instead of the site being
+// abandoned, so the adopting edge streams from the seek target in the
+// player's epoch. Sent to the old site, the adopted session kept the
+// pre-seek epoch, every packet was dropped and the player failed over again,
+// leaving the first adopted session open on the edge.
+TEST_F(MigrateFixture, SeekDuringMigrationHandshakeRetargetsTheReopen) {
+  publish("lec", sec(30));
+  warm_edge(edge_b_host, "lec");
+
+  edge::ReplicaSelector sel(network, client_host, edge_b_host, {edge_a_host});
+  auto cfg = player_cfg(5000);
+  cfg.failover_timeout = msec(1500);
+  cfg.migrate_on_failover = true;
+  streaming::Player p(network, client_host, cfg);
+  p.open_and_play_via(sel, "lec");
+  sim.run_until(sim.now() + sec(5));
+  ASSERT_TRUE(p.playing());
+  ASSERT_EQ(p.current_server(), edge_a_host);
+
+  edge_a.reset();  // the serving edge dies mid-playout
+  const SimTime give_up = sim.now() + sec(10);
+  while (p.failovers() == 0 && sim.now() < give_up && sim.step()) {
+  }
+  ASSERT_EQ(p.failovers(), 1u);
+  ASSERT_EQ(p.current_server(), edge_a_host);  // the handshake is in flight
+  const SimTime seek_at = sim.now();
+  p.seek(sec(20));
+  sim.run_until(sim.now() + sec(30));
+
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(p.failovers(), 1u);
+  EXPECT_EQ(p.migrations(), 1u);
+  EXPECT_EQ(p.current_server(), edge_b_host);
+  EXPECT_EQ(edge_b->active_sessions(), 1u);
+  std::size_t after = 0;
+  for (const auto& ev : p.rendered()) {
+    if (ev.true_time < seek_at) continue;
+    ++after;
+    EXPECT_GE(ev.pts, sec(20));
+  }
+  EXPECT_GT(after, 0u);
+  EXPECT_EQ(duplicate_renders(p), 0u);
+}
+
+// A pause issued during the handshake reaches the adopted session too: the
+// adopting edge stops streaming until the viewer resumes.
+TEST_F(MigrateFixture, PauseDuringMigrationHandshakeReachesTheAdoptedSession) {
+  publish("lec", sec(30));
+  warm_edge(edge_b_host, "lec");
+
+  edge::ReplicaSelector sel(network, client_host, edge_b_host, {edge_a_host});
+  auto cfg = player_cfg(5000);
+  cfg.failover_timeout = msec(1500);
+  cfg.migrate_on_failover = true;
+  streaming::Player p(network, client_host, cfg);
+  p.open_and_play_via(sel, "lec");
+  sim.run_until(sim.now() + sec(5));
+  ASSERT_TRUE(p.playing());
+
+  edge_a.reset();
+  const SimTime give_up = sim.now() + sec(10);
+  while (p.failovers() == 0 && sim.now() < give_up && sim.step()) {
+  }
+  ASSERT_EQ(p.failovers(), 1u);
+  p.pause();
+  sim.run_until(sim.now() + sec(2));
+  ASSERT_EQ(p.current_server(), edge_b_host);  // adopted
+  ASSERT_TRUE(p.paused_state());
+  const std::uint64_t packets = p.packets_received();
+  sim.run_until(sim.now() + sec(5));
+  EXPECT_EQ(p.packets_received(), packets);
+
+  p.resume();
+  sim.run_until(sim.now() + sec(40));
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(p.failovers(), 1u);
+  EXPECT_EQ(p.migrations(), 1u);
+  EXPECT_EQ(duplicate_renders(p), 0u);
+}
+
 // A migration body arrives from the network. An adopted session whose rate
 // no player could have sent (not positive, under one permille, past the
 // kSetRate frame's range) paces at normal speed, exactly like rate 1.
