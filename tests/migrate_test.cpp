@@ -270,9 +270,7 @@ TEST_F(MigrateFixture, MigrationHandshakeAdoptsSessionOnWarmReplica) {
 // A seek issued while the migration handshake is in flight re-targets that
 // reopen: the verb reaches the adopted session instead of the site being
 // abandoned, so the adopting edge streams from the seek target in the
-// player's epoch. Sent to the old site, the adopted session kept the
-// pre-seek epoch, every packet was dropped and the player failed over again,
-// leaving the first adopted session open on the edge.
+// player's epoch, with no second failover and one session on the edge.
 TEST_F(MigrateFixture, SeekDuringMigrationHandshakeRetargetsTheReopen) {
   publish("lec", sec(30));
   warm_edge(edge_b_host, "lec");
