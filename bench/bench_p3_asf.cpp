@@ -92,7 +92,7 @@ void BM_SerializeParse(benchmark::State& state) {
   const auto file = make_file(state.range(0));
   for (auto _ : state) {
     auto bytes = asf::serialize(file);
-    auto g = asf::parse(bytes);
+    auto g = asf::parse(lod::net::Payload(std::move(bytes)));
     benchmark::DoNotOptimize(g.packets.size());
   }
   state.SetBytesProcessed(state.iterations() *

@@ -111,27 +111,15 @@ File Muxer::finalize(SimDuration index_interval) {
                      return a.meta.pts < b.meta.pts;
                    });
 
-  // Assign per-stream object ids in pts order.
-  std::unordered_map<std::uint16_t, std::uint32_t> next_object;
-  const bool encrypt = drm_ && header_.drm.is_protected;
-  for (auto& u : units_) {
-    const std::uint32_t oid = next_object[u.meta.stream_id]++;
-    if (encrypt && u.meta.stream_id != kScriptStreamId) {
-      drm_->apply_keystream(header_.drm.key_id,
-                            drm_nonce(u.meta.stream_id, oid),
-                            std::span<std::byte>(u.content));
-    }
-    // Stash the object id in the unit meta via a parallel pass below; we
-    // re-derive it during packing, so nothing to store here.
-  }
-
   File file;
   file.header = header_;
 
+  const bool encrypt = drm_ && header_.drm.is_protected;
   const std::uint32_t capacity = header_.props.packet_bytes - kPacketHeaderBytes;
   DataPacket cur;
   std::uint32_t used = 0;
   bool cur_open = false;
+  // Per-stream object ids, assigned in pts order.
   std::unordered_map<std::uint16_t, std::uint32_t> oid_counter;
 
   auto close_packet = [&] {
@@ -143,9 +131,17 @@ File Muxer::finalize(SimDuration index_interval) {
     cur_open = false;
   };
 
-  for (const auto& u : units_) {
+  for (auto& u : units_) {
     const std::uint32_t oid = oid_counter[u.meta.stream_id]++;
-    const std::uint32_t total = static_cast<std::uint32_t>(u.content.size());
+    if (encrypt && u.meta.stream_id != kScriptStreamId) {
+      drm_->apply_keystream(header_.drm.key_id,
+                            drm_nonce(u.meta.stream_id, oid),
+                            std::span<std::byte>(u.content));
+    }
+    // The unit's (encrypted) bytes become one shared body; every fragment
+    // below is a slice of it.
+    const net::Payload body(std::move(u.content));
+    const std::uint32_t total = static_cast<std::uint32_t>(body.size());
     std::uint32_t offset = 0;
     // Emit at least one (possibly empty) fragment so zero-byte units survive.
     do {
@@ -168,8 +164,7 @@ File Muxer::finalize(SimDuration index_interval) {
       pl.object_id = oid;
       pl.offset = offset;
       pl.object_size = total;
-      pl.data.assign(u.content.begin() + offset,
-                     u.content.begin() + offset + take);
+      pl.data = body.slice(offset, take);
       cur.payloads.push_back(std::move(pl));
       used += kPayloadHeaderBytes + take;
       offset += take;
@@ -270,9 +265,7 @@ void Demuxer::feed(const net::Payload& packet, net::SimTime local_now) {
 
 void Demuxer::feed(const DataPacket& packet, net::SimTime local_now) {
   for (const auto& pl : packet.payloads) {
-    net::Payload copy = net::Payload::copy_of(pl.data);
-    const auto bytes = copy.view();
-    accept(pl, bytes, std::move(copy), local_now);
+    accept(pl, pl.data.view(), pl.data, local_now);
   }
 }
 
@@ -505,7 +498,7 @@ void write_packet(ByteWriter& w, const DataPacket& p) {
     w.u32(pl.object_id);
     w.u32(pl.offset);
     w.u32(pl.object_size);
-    w.blob(pl.data);
+    w.blob(pl.data.view());
   }
 }
 
@@ -582,8 +575,8 @@ bool PacketDecoder::next(PayloadView& out) {
   return true;
 }
 
-DataPacket parse_packet(std::span<const std::byte> bytes) {
-  PacketDecoder dec(bytes);
+DataPacket parse_packet(const net::Payload& bytes) {
+  PacketDecoder dec(bytes.view());
   DataPacket p;
   p.send_time = dec.send_time();
   p.pad_bytes = dec.pad_bytes();
@@ -592,7 +585,8 @@ DataPacket parse_packet(std::span<const std::byte> bytes) {
   while (dec.next(v)) {
     Payload pl;
     static_cast<PayloadHeader&>(pl) = v;
-    pl.data.assign(v.data.begin(), v.data.end());
+    pl.data = bytes.slice(static_cast<std::size_t>(v.data.data() - bytes.data()),
+                          v.data.size());
     p.payloads.push_back(std::move(pl));
   }
   return p;
@@ -615,8 +609,8 @@ std::vector<std::byte> serialize(const File& f) {
   return std::move(w).take();
 }
 
-File parse(std::span<const std::byte> bytes) {
-  ByteReader r(bytes);
+File parse(const net::Payload& bytes) {
+  ByteReader r(bytes.view());
   if (r.u32() != kFileMagic) throw std::runtime_error("asf: bad file magic");
   File f;
   {
@@ -626,8 +620,10 @@ File parse(std::span<const std::byte> bytes) {
   const std::uint32_t np = r.u32();
   f.packets.reserve(r.bounded_count(np, 4 + kPacketWireHeader));
   for (std::uint32_t i = 0; i < np; ++i) {
-    const auto pb = r.blob();
-    f.packets.push_back(parse_packet(pb));
+    const std::uint32_t n = r.u32();
+    const std::size_t at = r.offset();
+    r.raw(n);  // bounds-checks the packet before it is sliced
+    f.packets.push_back(parse_packet(bytes.slice(at, n)));
   }
   const std::uint32_t ni = r.u32();
   f.index.reserve(r.bounded_count(ni, kIndexEntryWire));

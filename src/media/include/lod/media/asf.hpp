@@ -84,8 +84,11 @@ struct PayloadHeader {
 };
 
 /// One payload inside a data packet: a whole access unit or a fragment.
+/// `data` is a view into its unit's bytes, which every fragment of the unit
+/// shares and nobody mutates: copying a payload, a packet or a whole `File`
+/// copies the headers and bumps refcounts, never the media bytes.
 struct Payload : PayloadHeader {
-  std::vector<std::byte> data;
+  net::Payload data;
 };
 
 /// One payload as it sits in a serialized packet: its header fields and a
@@ -123,8 +126,10 @@ struct File {
 /// Builds an ASF file from encoded units and script commands.
 ///
 /// Call `add_unit` / `add_script` in any order; `finalize()` interleaves all
-/// payloads by presentation time, fragments and packs them into fixed-size
-/// packets, optionally encrypts payloads under DRM, and builds the index.
+/// payloads by presentation time, optionally encrypts them under DRM,
+/// fragments and packs them into fixed-size packets, and builds the index.
+/// Each unit's bytes are adopted once, after encryption, as a shared body
+/// that all of its fragments slice: muxing copies no payload bytes.
 class Muxer {
  public:
   /// \param drm  if non-null and header.drm.is_protected, payload data is
@@ -226,9 +231,9 @@ class Demuxer {
   /// bytes in more than one packet takes a reference to each. A malformed
   /// packet throws (see `PacketDecoder`) before any of it is fed.
   void feed(const net::Payload& packet, net::SimTime local_now = {});
-  /// Feed one in-memory packet. Each payload's bytes are copied into a
-  /// `net::Payload` of their own, which the unit keeps; otherwise identical
-  /// to feeding its serialized form.
+  /// Feed one in-memory packet. Nothing is copied: each payload's view is
+  /// the owner its unit keeps; otherwise identical to feeding its
+  /// serialized form.
   void feed(const DataPacket& packet, net::SimTime local_now = {});
 
   /// Pull the next completed media unit (pts order within arrival order).
@@ -276,15 +281,16 @@ class Demuxer {
 
 /// Serialize a complete file to a flat byte buffer (a stored ".asf file").
 std::vector<std::byte> serialize(const File& f);
-/// Parse a stored file. Throws std::out_of_range / std::runtime_error on
-/// malformed input.
-File parse(std::span<const std::byte> bytes);
+/// Parse a stored file. Every payload of the result is a slice of \p bytes,
+/// so the buffer is shared, not copied. Throws std::out_of_range /
+/// std::runtime_error on malformed input.
+File parse(const net::Payload& bytes);
 
 /// Serialize / parse a single packet (for live streams on the wire).
-/// `parse_packet` copies every payload out of \p bytes; see `PacketDecoder`
-/// for the copy-free walk it is built on.
+/// `parse_packet` slices each payload out of \p bytes without copying; see
+/// `PacketDecoder` for the walk it is built on.
 std::vector<std::byte> serialize_packet(const DataPacket& p);
-DataPacket parse_packet(std::span<const std::byte> bytes);
+DataPacket parse_packet(const net::Payload& bytes);
 /// Append the serialized form of \p p to \p w (what `serialize_packet`
 /// returns, without the intermediate buffer).
 void write_packet(net::ByteWriter& w, const DataPacket& p);

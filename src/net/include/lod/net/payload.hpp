@@ -16,12 +16,18 @@
 ///
 ///   a packet's bytes are copied ONCE, at encode, and never again per hop.
 ///
-/// Concretely: the transport keeps Payloads in its inflight/out-of-order
+/// Concretely, from the ASF muxer on: the muxer adopts each access unit's
+/// bytes as one body and every fragment of it is a slice, so copying a muxed
+/// `asf::File` (publishing it to every shard's server) shares its media
+/// instead of duplicating it; `asf::parse_packet` slices the packet it
+/// decodes. The transport keeps Payloads in its inflight/out-of-order
 /// buffers (retransmissions re-send the same body), the edge tier caches
 /// segment fills as slices of the fetched response, and the player's reorder
 /// buffer holds slices of received datagrams. The only byte copies left are
 /// the initial encode (ByteWriter building a frame) and the terminal decode
-/// (ASF parse into access units).
+/// (joining a unit's fragments when its bytes are read). The refcount is
+/// atomic, so threads may share a body; the bytes are never written after
+/// adoption.
 ///
 /// `Payload::stats()` counts the byte copies the class itself performs
 /// (`copy_of`, `to_vector`); bench_h1_hotpath asserts this stays flat as hop

@@ -107,6 +107,9 @@ class StreamingServer : private SessionEngine {
   // --- content ---------------------------------------------------------------
 
   /// Publish a stored file under \p name (overwrites an existing entry).
+  /// Taking \p file by value copies its metadata only: the payload bytes
+  /// are shared views, so one encoded File published to every shard's
+  /// server is held once per process.
   void publish(std::string name, media::asf::File file);
   bool has(const std::string& name) const { return files_.count(name) > 0; }
 

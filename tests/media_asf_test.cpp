@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lod/media/profile.hpp"
 #include "lod/media/sources.hpp"
 #include "lod/net/rng.hpp"
+#include "lod/streaming/encoder.hpp"
 
 namespace lod::media::asf {
 namespace {
@@ -228,7 +231,8 @@ TEST(Serialization, FileRoundTrip) {
     EXPECT_EQ(g.packets[i].send_time, f.packets[i].send_time);
     ASSERT_EQ(g.packets[i].payloads.size(), f.packets[i].payloads.size());
     for (std::size_t j = 0; j < f.packets[i].payloads.size(); ++j) {
-      EXPECT_EQ(g.packets[i].payloads[j].data, f.packets[i].payloads[j].data);
+      EXPECT_TRUE(std::ranges::equal(g.packets[i].payloads[j].data.view(),
+                                     f.packets[i].payloads[j].data.view()));
       EXPECT_EQ(g.packets[i].payloads[j].pts, f.packets[i].payloads[j].pts);
     }
   }
@@ -254,7 +258,8 @@ TEST(Serialization, PacketRoundTrip) {
   EXPECT_EQ(q.send_time, p.send_time);
   EXPECT_EQ(q.pad_bytes, p.pad_bytes);
   ASSERT_EQ(q.payloads.size(), p.payloads.size());
-  EXPECT_EQ(q.payloads[0].data, p.payloads[0].data);
+  EXPECT_TRUE(std::ranges::equal(q.payloads[0].data.view(),
+                                 p.payloads[0].data.view()));
 }
 
 TEST(Serialization, BadMagicThrows) {
@@ -422,6 +427,56 @@ TEST(EndToEnd, EncodeMuxDemuxOneMinuteLecture) {
   const double bps = bits / 60.0;
   EXPECT_LT(bps, profile.total_bps * 1.35);  // container overhead bounded
   EXPECT_GT(bps, profile.total_bps * 0.7);
+}
+
+// --- the wire form is pinned ---------------------------------------------------
+
+/// FNV-1a 64 over every serialized packet of \p f, each prefixed by its size.
+std::uint64_t wire_digest(const File& f) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::byte b) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 1099511628211ull;
+  };
+  for (const auto& p : f.packets) {
+    const auto bytes = serialize_packet(p);
+    EXPECT_EQ(bytes.size(), packet_wire_size(p));
+    for (int i = 0; i < 4; ++i) {
+      mix(static_cast<std::byte>(bytes.size() >> (8 * i)));
+    }
+    for (std::byte b : bytes) mix(b);
+  }
+  return h;
+}
+
+/// A 20 s lecture on the 56k dial-up profile with four slide flips, the
+/// shape of one lecture of perfbench's catalog; DRM-protected if \p drm.
+File encode_56k_lecture(DrmSystem* drm) {
+  streaming::EncodeJob job;
+  job.profile = *find_profile("Video 56k dial-up");
+  job.title = "Wire digest";
+  job.preroll = msec(2000);
+  job.drm = drm;
+  job.protect_content = drm != nullptr;
+  const SimDuration len = sec(20);
+  LectureVideoSource v(len, job.profile.fps, job.profile.width,
+                       job.profile.height, 5);
+  LectureAudioSource a(len, job.profile.audio_sample_rate());
+  const auto scripts = streaming::slide_flip_commands(
+      make_slide_schedule(4, len, 17), "slides/");
+  return streaming::encode_lecture(job, v, a, scripts).file;
+}
+
+// The bytes every packet puts on the wire, pinned by digest: how the muxer
+// holds payload bytes in memory must not change what it sends.
+TEST(AsfWire, SerializedPacketsMatchTheCommittedDigest) {
+  const File plain = encode_56k_lecture(nullptr);
+  DrmSystem drm;
+  const File protected_file = encode_56k_lecture(&drm);
+  ASSERT_TRUE(protected_file.header.drm.is_protected);
+  EXPECT_EQ(plain.packets.size(), protected_file.packets.size());
+  EXPECT_EQ(wire_digest(plain), 0xdd0b194a09ef549aull);
+  EXPECT_EQ(wire_digest(protected_file), 0x5068f7432be084bdull);
 }
 
 }  // namespace

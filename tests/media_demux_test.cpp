@@ -227,6 +227,84 @@ TEST(DemuxPaths, BytesPathCopiesNoMediaUntilRead) {
   EXPECT_EQ(net::Payload::stats().copies, 0u);
 }
 
+// --- one copy of the media bytes ------------------------------------------------
+
+TEST(AsfPayloadSharing, MuxingAndCopyingAFileCopyNoBytes) {
+  net::Payload::reset_stats();
+  const File f = lecture();
+  EXPECT_EQ(net::Payload::stats().bytes_copied, 0u);
+  EXPECT_EQ(net::Payload::stats().copies, 0u);
+  // One adopted body per unit: 260 media units and 3 script commands.
+  EXPECT_EQ(net::Payload::stats().adopts, 263u);
+
+  std::vector<long> before;
+  for (const auto& p : f.packets) {
+    for (const auto& pl : p.payloads) before.push_back(pl.data.owners());
+  }
+  const File g = f;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(net::Payload::stats().bytes_copied, 0u);
+  EXPECT_EQ(net::Payload::stats().copies, 0u);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < f.packets.size(); ++i) {
+    for (std::size_t j = 0; j < f.packets[i].payloads.size(); ++j, ++k) {
+      const net::Payload& mine = f.packets[i].payloads[j].data;
+      const net::Payload& copy = g.packets[i].payloads[j].data;
+      EXPECT_EQ(copy.data(), mine.data());
+      EXPECT_EQ(copy.owners(), 2 * before[k]);
+    }
+  }
+}
+
+TEST(AsfPayloadSharing, FragmentsOfAUnitShareOneBody) {
+  Muxer mux(lecture_header());
+  EncodedUnit v;
+  v.stream_id = 1;
+  v.type = MediaType::kVideo;
+  v.bytes = 10'000;
+  v.keyframe = true;
+  mux.add_unit(v);
+  const File f = mux.finalize();
+  std::vector<const Payload*> frags;
+  for (const auto& p : f.packets) {
+    for (const auto& pl : p.payloads) frags.push_back(&pl);
+  }
+  ASSERT_GE(frags.size(), 7u);
+  const std::byte* base = frags.front()->data.data();
+  for (const Payload* pl : frags) {
+    EXPECT_EQ(pl->data.owners(), static_cast<long>(frags.size()));
+    EXPECT_EQ(pl->data.data(), base + pl->offset);
+  }
+}
+
+TEST(AsfPayloadSharing, ParsePacketAndFeedCopyNoBytes) {
+  const File f = lecture();
+  std::vector<net::Payload> wire;
+  for (const auto& p : f.packets) wire.emplace_back(serialize_packet(p));
+  net::Payload::reset_stats();
+  for (const net::Payload& w : wire) {
+    const DataPacket q = parse_packet(w);
+    for (const auto& pl : q.payloads) {
+      EXPECT_GE(pl.data.data(), w.data());
+      EXPECT_LE(pl.data.data() + pl.data.size(), w.data() + w.size());
+    }
+    if (!q.payloads.empty()) {
+      EXPECT_EQ(w.owners(),
+                1 + static_cast<long>(q.payloads.size()));
+    }
+  }
+  Demuxer d(f.header);
+  std::size_t units = 0;
+  for (const auto& p : f.packets) {
+    d.feed(p);
+    while (d.next_unit()) ++units;
+    while (d.next_script()) {
+    }
+  }
+  EXPECT_EQ(units, 260u);
+  EXPECT_EQ(net::Payload::stats().bytes_copied, 0u);
+  EXPECT_EQ(net::Payload::stats().copies, 0u);
+}
+
 void put_u32(std::vector<std::byte>& b, std::size_t at, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) b[at + i] = static_cast<std::byte>(v >> (8 * i));
 }
@@ -327,8 +405,9 @@ TEST(PacketCodec, DecoderYieldsViewsIntoThePacket) {
     ASSERT_TRUE(dec.next(v));
     EXPECT_EQ(v.object_id, pl.object_id);
     EXPECT_EQ(v.offset, pl.offset);
-    EXPECT_TRUE(std::equal(v.data.begin(), v.data.end(), pl.data.begin(),
-                           pl.data.end()));
+    const auto want = pl.data.view();
+    EXPECT_TRUE(std::equal(v.data.begin(), v.data.end(), want.begin(),
+                           want.end()));
     EXPECT_GE(v.data.data(), bytes.data());
     EXPECT_LE(v.data.data() + v.data.size(), bytes.data() + bytes.size());
   }

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <stdexcept>
 #include <string>
 
 #include "lod/lod/loadgen.hpp"
+#include "lod/media/profile.hpp"
+#include "lod/media/sources.hpp"
 #include "lod/obs/export.hpp"
+#include "lod/streaming/encoder.hpp"
+#include "lod/streaming/player.hpp"
+#include "lod/streaming/server.hpp"
 
 namespace lod::net {
 namespace {
@@ -182,3 +188,60 @@ TEST(LoadGen, SameRootSeedReproducesByteIdenticalMergedSnapshot) {
 
 }  // namespace
 }  // namespace lod::lod
+
+namespace lod::streaming {
+namespace {
+
+// Every shard publishes the same encoded File to its own server and plays
+// it: the shards share the File's payload bodies across threads, so this
+// is where a race on their refcounts would show (run it under TSan).
+TEST(ShardedRunner, ShardsShareOneFilesBytesAcrossTheirServers) {
+  EncodeJob job;
+  job.profile = *media::find_profile("Video 56k dial-up");
+  job.preroll = net::msec(1000);
+  media::LectureVideoSource v(net::sec(4), job.profile.fps, job.profile.width,
+                              job.profile.height, 5);
+  media::LectureAudioSource a(net::sec(4), job.profile.audio_sample_rate());
+  const media::asf::File file = encode_lecture(job, v, a, {}).file;
+  const net::Payload& first = file.packets.front().payloads.front().data;
+  const long owners_before = first.owners();
+
+  constexpr std::size_t kShards = 2;
+  std::array<std::size_t, kShards> rendered{};
+  std::array<std::uint64_t, kShards> publish_copied{};
+  net::ShardedRunner runner(kShards, 3);
+  runner.run([&](net::ShardEnv& env) {
+    net::Network network(env.sim, env.seed);
+    const net::HostId origin = network.add_host("origin");
+    const net::HostId client = network.add_host("client");
+    net::LinkConfig lan;
+    lan.bandwidth_bps = 10'000'000;
+    lan.latency = net::msec(2);
+    network.add_link(origin, client, lan);
+    StreamingServer server(network, origin);
+    net::Payload::reset_stats();
+    server.publish("lec", file);
+    publish_copied[env.shard] = net::Payload::stats().bytes_copied;
+    EXPECT_EQ(server.stored("lec")->packets.front().payloads.front().data.data(),
+              first.data());
+
+    PlayerConfig cfg;
+    cfg.model = SyncModel::kEtpn;
+    cfg.web_server = origin;
+    Player p(network, client, cfg);
+    p.open_and_play(origin, "lec");
+    env.sim.run();
+    EXPECT_TRUE(p.finished());
+    rendered[env.shard] = p.units_rendered();
+  });
+  for (std::size_t k = 0; k < kShards; ++k) {
+    EXPECT_EQ(publish_copied[k], 0u) << k;
+    EXPECT_GT(rendered[k], 0u) << k;
+    EXPECT_EQ(rendered[k], rendered[0]) << k;
+  }
+  // Both servers are gone; the File is again its bytes' only holder.
+  EXPECT_EQ(first.owners(), owners_before);
+}
+
+}  // namespace
+}  // namespace lod::streaming
