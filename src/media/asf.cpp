@@ -585,8 +585,8 @@ DataPacket parse_packet(const net::Payload& bytes) {
   while (dec.next(v)) {
     Payload pl;
     static_cast<PayloadHeader&>(pl) = v;
-    pl.data = bytes.slice(static_cast<std::size_t>(v.data.data() - bytes.data()),
-                          v.data.size());
+    const auto at = static_cast<std::size_t>(v.data.data() - bytes.data());
+    pl.data = bytes.slice(at, v.data.size());
     p.payloads.push_back(std::move(pl));
   }
   return p;

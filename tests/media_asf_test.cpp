@@ -440,7 +440,6 @@ std::uint64_t wire_digest(const File& f) {
   };
   for (const auto& p : f.packets) {
     const auto bytes = serialize_packet(p);
-    EXPECT_EQ(bytes.size(), packet_wire_size(p));
     for (int i = 0; i < 4; ++i) {
       mix(static_cast<std::byte>(bytes.size() >> (8 * i)));
     }

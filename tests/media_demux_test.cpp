@@ -241,7 +241,7 @@ TEST(AsfPayloadSharing, MuxingAndCopyingAFileCopyNoBytes) {
   for (const auto& p : f.packets) {
     for (const auto& pl : p.payloads) before.push_back(pl.data.owners());
   }
-  const File g = f;  // NOLINT(performance-unnecessary-copy-initialization)
+  const File g = f;  // the copy under test
   EXPECT_EQ(net::Payload::stats().bytes_copied, 0u);
   EXPECT_EQ(net::Payload::stats().copies, 0u);
   std::size_t k = 0;
@@ -288,8 +288,7 @@ TEST(AsfPayloadSharing, ParsePacketAndFeedCopyNoBytes) {
       EXPECT_LE(pl.data.data() + pl.data.size(), w.data() + w.size());
     }
     if (!q.payloads.empty()) {
-      EXPECT_EQ(w.owners(),
-                1 + static_cast<long>(q.payloads.size()));
+      EXPECT_EQ(w.owners(), 1 + static_cast<long>(q.payloads.size()));
     }
   }
   Demuxer d(f.header);

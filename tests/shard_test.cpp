@@ -222,7 +222,8 @@ TEST(ShardedRunner, ShardsShareOneFilesBytesAcrossTheirServers) {
     net::Payload::reset_stats();
     server.publish("lec", file);
     publish_copied[env.shard] = net::Payload::stats().bytes_copied;
-    EXPECT_EQ(server.stored("lec")->packets.front().payloads.front().data.data(),
+    const media::asf::File* published = server.stored("lec");
+    EXPECT_EQ(published->packets.front().payloads.front().data.data(),
               first.data());
 
     PlayerConfig cfg;
