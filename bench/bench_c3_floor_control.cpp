@@ -13,7 +13,7 @@
 #include "lod/lod/classroom.hpp"
 #include "lod/net/network.hpp"
 #include "lod/obs/metrics.hpp"
-#include "lod/obs/trace.hpp"
+#include "lod/obs/flight.hpp"
 
 #include "bench_json.hpp"
 
@@ -44,7 +44,7 @@ static Result run(std::uint32_t users, std::uint64_t seed) {
   app::FloorService service(network, teacher, 9000, names);
   // The floor service publishes into the simulator's hub; turn on tracing so
   // the request/grant order is recoverable after the fact.
-  sim.obs().trace().set_enabled(true);
+  sim.obs().flight().set_tracing(true);
 
   std::vector<std::unique_ptr<app::FloorClient>> clients;
   for (std::uint32_t i = 0; i < users; ++i) {
@@ -99,24 +99,27 @@ static Result run(std::uint32_t users, std::uint64_t seed) {
   sim.run();
 
   // Fairness: grants must follow request-arrival order at the service. Both
-  // orders come out of the trace (the detail field carries the user name).
-  auto& sink = sim.obs().trace();
+  // orders come out of the trace (the detail field carries the user name),
+  // and none may have aged out of it: the journal must hold every request
+  // and grant the floor counted.
+  const auto& journal = sim.obs().flight();
   std::vector<std::string> req_order, grant_order;
-  for (const auto& e : sink.events(obs::EventType::kFloorRequest)) {
+  for (const auto& e : journal.events(obs::FlightType::kFloorRequest)) {
     req_order.push_back(e.detail);
   }
-  for (const auto& e : sink.events(obs::EventType::kFloorGrant)) {
+  for (const auto& e : journal.events(obs::FlightType::kFloorGrant)) {
     grant_order.push_back(e.detail);
   }
+  const obs::Snapshot snap = sim.obs().metrics().snapshot();
+  const std::size_t grants =
+      static_cast<std::size_t>(snap.counter("lod.floor.grants"));
   const bool fifo_ok =
-      sink.dropped() == 0 && grant_order.size() == req_order.size() &&
+      req_order.size() == snap.counter("lod.floor.requests") &&
+      grant_order.size() == grants && grant_order.size() == req_order.size() &&
       std::equal(grant_order.begin(), grant_order.end(), req_order.begin());
 
   // Grant latency: request arrival to grant, exact, from the wait histogram
   // the floor control observes into at every grant.
-  const obs::Snapshot snap = sim.obs().metrics().snapshot();
-  const std::size_t grants =
-      static_cast<std::size_t>(snap.counter("lod.floor.grants"));
   const auto* wait = snap.histogram("lod.floor.grant_wait_us");
   const double mean_wait = wait ? wait->mean() / 1e6 : 0.0;
 

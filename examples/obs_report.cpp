@@ -1,32 +1,28 @@
-// Observability report: turn an exported trace into a per-session timeline.
+// Observability report: turn an event journal into per-session timelines.
 //
-// Three modes:
+// Two modes:
 //
-//   obs_report <trace.jsonl> [more.jsonl ...]
-//     Parse JSONL produced by TraceSink::to_jsonl (one or several sinks —
-//     seed each sink distinctly so span ids cannot collide), rebuild the
+//   obs_report <dump.jsonl> [more.jsonl ...]
+//     Parse journal JSONL — a flight dump (the JSONL a trigger_dump sink
+//     receives), a /debug/flight scrape, or events_to_jsonl output; several
+//     journals concatenate when each was seeded distinctly so span ids
+//     cannot collide. Print the journal's event counts by type, rebuild the
 //     span tree of every trace, and print an indented timeline with
-//     per-span self-times and the critical path.
-//
-//   obs_report --flight <dump.jsonl> [trace.jsonl ...]
-//     Parse a flight-recorder dump (the JSONL a trigger_dump sink receives,
-//     or a /debug/flight scrape) and print the journal interleaved with the
-//     spans it mirrors on one shared timeline. Trace JSONL lines — in the
-//     same file or extra files — name the spans and add reconstructed span
-//     trees below the timeline; without them spans print by id.
+//     per-span self-times and the critical path. Exits 1 when no journal
+//     event parses.
 //
 //   obs_report --demo
 //     Run a small origin -> edge -> player simulation with tracing on and
-//     report on its own output: the session timeline, the Prometheus
+//     report on its own journal: the session timeline, the Prometheus
 //     rendering of the metrics registry, and the SLO health summary.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lod/edge/edge_node.hpp"
@@ -43,8 +39,16 @@
 
 namespace {
 
-void report(const std::vector<lod::obs::TraceEvent>& events) {
+void report(const std::vector<lod::obs::FlightEvent>& events) {
   using namespace lod::obs;
+  std::map<std::string_view, std::size_t> by_type;
+  for (const FlightEvent& e : events) ++by_type[to_string(e.type)];
+  std::printf("%zu journal event(s):", events.size());
+  for (const auto& [type, n] : by_type) {
+    std::printf(" %.*s=%zu", static_cast<int>(type.size()), type.data(), n);
+  }
+  std::printf("\n\n");
+
   const auto trees = build_span_trees(events);
   if (trees.empty()) {
     std::printf("no traced spans found\n");
@@ -63,7 +67,7 @@ void report(const std::vector<lod::obs::TraceEvent>& events) {
     }
     std::printf("\n");
   }
-  std::printf("%zu trace(s), %zu event(s)\n", trees.size(), events.size());
+  std::printf("%zu trace(s)\n", trees.size());
 }
 
 bool slurp(int argc, char** argv, int first, std::string& text) {
@@ -84,81 +88,19 @@ bool slurp(int argc, char** argv, int first, std::string& text) {
 int report_files(int argc, char** argv) {
   std::string text;
   if (!slurp(argc, argv, 1, text)) return 1;
-  report(lod::obs::TraceSink::parse_jsonl(text));
-  return 0;
-}
-
-/// --flight: one shared timeline of journal events and the spans they
-/// mirror. Span names come from trace JSONL lines when present (both
-/// schemas coexist in one file: journal lines key on "ft", trace lines on
-/// "type"), otherwise spans print by id.
-int report_flight(int argc, char** argv) {
-  using namespace lod::obs;
-  std::string text;
-  if (!slurp(argc, argv, 2, text)) return 1;
-
-  std::vector<FlightEvent> journal = FlightRecorder::parse_jsonl(text);
-  const std::vector<TraceEvent> traced = TraceSink::parse_jsonl(text);
-  if (journal.empty()) {
-    std::printf("no flight events found\n");
+  const auto events = lod::obs::parse_jsonl(text);
+  if (events.empty()) {
+    std::fprintf(stderr, "no journal events found\n");
     return 1;
   }
-  std::stable_sort(
-      journal.begin(), journal.end(),
-      [](const FlightEvent& x, const FlightEvent& y) { return x.t < y.t; });
-
-  std::map<std::uint64_t, std::string> span_names;
-  for (const TraceEvent& e : traced) {
-    if (e.type == EventType::kSpanBegin && !e.detail.empty()) {
-      span_names[e.span] = e.detail;
-    }
-  }
-  const auto span_name = [&span_names](std::uint64_t span) {
-    const auto it = span_names.find(span);
-    return it != span_names.end() ? it->second
-                                  : "span#" + std::to_string(span);
-  };
-
-  std::printf("== flight timeline ==========================================\n");
-  std::printf("%12s  %-5s event\n", "t(us)", "lane");
-  int depth = 0;
-  for (const FlightEvent& e : journal) {
-    const std::string type(to_string(e.type));
-    switch (e.type) {
-      case FlightType::kSpanBegin:
-        std::printf("%12lld  %-5u %*s> %s (trace %llu)\n",
-                    static_cast<long long>(e.t), e.lane, 2 * depth, "",
-                    span_name(e.a).c_str(),
-                    static_cast<unsigned long long>(e.b));
-        ++depth;
-        break;
-      case FlightType::kSpanEnd:
-        if (depth > 0) --depth;
-        std::printf("%12lld  %-5u %*s< %s\n", static_cast<long long>(e.t),
-                    e.lane, 2 * depth, "", span_name(e.a).c_str());
-        break;
-      default:
-        std::printf("%12lld  %-5u %*s. %s actor=%u a=%llu b=%llu\n",
-                    static_cast<long long>(e.t), e.lane, 2 * depth, "",
-                    type.c_str(), e.actor,
-                    static_cast<unsigned long long>(e.a),
-                    static_cast<unsigned long long>(e.b));
-        break;
-    }
-  }
-  std::printf("%zu journal event(s)\n\n", journal.size());
-
-  if (!traced.empty()) {
-    std::printf("== reconstructed span trees =================================\n");
-    report(traced);
-  }
+  report(events);
   return 0;
 }
 
 int demo() {
   using namespace lod;
   net::Simulator sim;
-  sim.obs().trace().set_enabled(true);
+  sim.obs().flight().set_tracing(true);
   net::Network network(sim, 7);
 
   const auto origin = network.add_host("origin");
@@ -216,7 +158,7 @@ int demo() {
   sim.run_until(net::SimTime{net::sec(40).us});
 
   std::printf("== session timeline =========================================\n");
-  report(sim.obs().trace().events());
+  report(sim.obs().flight().events());
 
   std::printf("== health ===================================================\n");
   const obs::HealthSummary sum = health.health();
@@ -241,14 +183,6 @@ int demo() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--flight") == 0) {
-    if (argc < 3) {
-      std::fprintf(stderr, "usage: obs_report --flight <dump.jsonl> "
-                           "[trace.jsonl ...]\n");
-      return 1;
-    }
-    return report_flight(argc, argv);
-  }
   if (argc >= 2 && std::strcmp(argv[1], "--demo") != 0) {
     return report_files(argc, argv);
   }

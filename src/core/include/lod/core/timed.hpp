@@ -8,7 +8,7 @@
 #include "lod/core/petri.hpp"
 #include "lod/net/rng.hpp"
 #include "lod/net/time.hpp"
-#include "lod/obs/trace.hpp"
+#include "lod/obs/flight.hpp"
 
 /// \file timed.hpp
 /// Timed Petri nets with media bindings — the OCPN substrate.
@@ -122,20 +122,17 @@ struct PlayoutTrace {
 
 /// Observability hooks for playout. Both members are optional; a
 /// default-constructed PlayObs is exactly the un-instrumented engine (the
-/// null counter and null sink reduce to one predictable branch per firing —
-/// bench_obs_overhead holds this under 2%).
+/// null counter and null journal reduce to one predictable branch per
+/// firing — bench_obs_overhead holds this under 2%).
 struct PlayObs {
-  /// Emits a kTransitionFire event per firing (actor = transition id,
-  /// a = firing instant in presentation microseconds). Honors
-  /// `TraceSink::enabled()` as it stands when the play starts; nullptr
-  /// disables entirely.
-  obs::TraceSink* trace{nullptr};
   /// Advanced by the play's firing count when the play returns (e.g.
   /// `lod.petri.transitions_fired`).
   obs::Counter fired;
-  /// Journals a kSimEvent per firing into the dispatch lane (actor =
-  /// transition id, a = firing instant). Always-on path — its cost is part
-  /// of bench_obs_overhead's recorder-enabled measurement.
+  /// Journals a kSimEvent per 16 firings into the dispatch lane (actor =
+  /// transition id, a = firing instant) — an always-on path whose cost is
+  /// bench_obs_overhead's recorder-enabled measurement — and, when tracing
+  /// is on as the play starts, a kTransitionFire per firing on the trace
+  /// lane (same actor and a). nullptr disables both.
   obs::FlightRecorder* flight{nullptr};
 };
 

@@ -117,8 +117,8 @@ PlayoutTrace play_impl(const TimedPetriNet& net, const Marking& initial,
   // the disabled path to one predictable branch per firing. The firing
   // counter is bumped once per play (by the number of firings) for the same
   // reason; nothing can read it while a play runs.
-  const bool tracing = hooks.trace && hooks.trace->enabled();
   obs::FlightRecorder* const flight = hooks.flight;
+  const bool tracing = flight && flight->tracing();
 
   auto fire = [&](TransitionId t) {
     SiteId home = kLocalSite;
@@ -132,16 +132,15 @@ PlayoutTrace play_impl(const TimedPetriNet& net, const Marking& initial,
     }
     trace.firings.push_back(FiringRecord{t, now});
     if (tracing) {
-      hooks.trace->emit(obs::EventType::kTransitionFire, t, now.us);
+      flight->emit(obs::FlightType::kTransitionFire, t, now.us);
     }
     // The engine fires every ~50ns, so even a ~2.5ns journal write per
     // firing would bust the <2% obs-overhead contract: sample the firehose
-    // lane 1-in-16. Control-lane events (verdicts, drops, SLO, spans) are
-    // never sampled; `b` carries the firing ordinal so gaps are explicit.
+    // lane 1-in-16. Control- and trace-lane events are never sampled; `b`
+    // carries the firing ordinal so gaps are explicit.
     if (flight && (trace.firings.size() & 15u) == 0) {
-      flight->record_at(now.us, obs::FlightType::kSimEvent, t,
-                        static_cast<std::uint64_t>(now.us),
-                        trace.firings.size(),
+      flight->record_at(now.us, obs::FlightType::kSimEvent, t, now.us,
+                        static_cast<std::int64_t>(trace.firings.size()),
                         obs::FlightRecorder::kLaneDispatch);
     }
     for (const auto& a : net.outputs(t)) {

@@ -16,7 +16,7 @@ OriginGateway::OriginGateway(net::Transport& net,
                              streaming::StreamingServer& origin, net::Port port)
     : origin_(origin), rpc_(net, origin.host(), port) {
   auto& reg = net.obs().metrics();
-  trace_ = &net.obs().trace();
+  flight_ = &net.obs().flight();
   const obs::Labels host_label{{"host", std::to_string(origin.host())}};
   m_meta_requests_ = reg.counter("lod.edge.origin.meta_requests", host_label);
   m_segment_requests_ =
@@ -31,9 +31,9 @@ OriginGateway::OriginGateway(net::Transport& net,
     const std::string name = r.str();
     const obs::TraceContext ctx = streaming::proto::read_trace_context(r);
     const std::uint64_t sp =
-        trace_->begin_span(ctx, "origin.meta", origin_.host());
+        flight_->begin_span(ctx, "origin.meta", origin_.host());
     const media::asf::File* f = origin_.stored(name);
-    trace_->end_span(ctx, sp, "origin.meta", origin_.host(), f ? 200 : 404);
+    flight_->end_span(ctx, sp, "origin.meta", origin_.host(), f ? 200 : 404);
     if (!f) return {404, {}};
     ByteWriter w;
     w.blob(media::asf::serialize_header(f->header));
@@ -57,16 +57,16 @@ OriginGateway::OriginGateway(net::Transport& net,
     const std::uint32_t per = r.u32();
     const obs::TraceContext ctx = streaming::proto::read_trace_context(r);
     const std::uint64_t sp =
-        trace_->begin_span(ctx, "origin.segment", origin_.host(), seg);
+        flight_->begin_span(ctx, "origin.segment", origin_.host(), seg);
     const media::asf::File* f = origin_.stored(name);
     if (!f || per == 0) {
-      trace_->end_span(ctx, sp, "origin.segment", origin_.host(), seg, 404);
+      flight_->end_span(ctx, sp, "origin.segment", origin_.host(), seg, 404);
       return {404, {}};
     }
     const std::size_t n = f->packets.size();
     const std::size_t first = static_cast<std::size_t>(seg) * per;
     if (first >= n) {
-      trace_->end_span(ctx, sp, "origin.segment", origin_.host(), seg, 404);
+      flight_->end_span(ctx, sp, "origin.segment", origin_.host(), seg, 404);
       return {404, {}};
     }
     const std::size_t last = std::min<std::size_t>(first + per, n);
@@ -86,7 +86,7 @@ OriginGateway::OriginGateway(net::Transport& net,
     }
     auto out = std::move(w).take();
     m_segment_bytes_.inc(out.size());
-    trace_->end_span(ctx, sp, "origin.segment", origin_.host(), seg, 200);
+    flight_->end_span(ctx, sp, "origin.segment", origin_.host(), seg, 200);
     return {200, std::move(out)};
   });
 }
@@ -141,7 +141,7 @@ EdgeNode::ContentMeta& EdgeNode::ensure_meta(const std::string& content,
   if (meta.ready || meta.fetching) return meta;
   meta.fetching = true;
   meta.fill_ctx = ctx;
-  meta.fill_span = trace_->begin_span(ctx, "edge.meta_fill", host_);
+  meta.fill_span = flight_->begin_span(ctx, "edge.meta_fill", host_);
   ByteWriter w;
   w.str(content);
   streaming::proto::write_trace_context(
@@ -164,8 +164,8 @@ EdgeNode::ContentMeta& EdgeNode::ensure_meta(const std::string& content,
 void EdgeNode::meta_done(ContentMeta& meta, std::int64_t result) {
   meta.fetching = false;
   if (meta.fill_span) {
-    trace_->end_span(meta.fill_ctx, meta.fill_span, "edge.meta_fill", host_,
-                     result);
+    flight_->end_span(meta.fill_ctx, meta.fill_span, "edge.meta_fill", host_,
+                      result);
     meta.fill_span = 0;
   }
   for (auto [h, p] : meta.waiting_describe) describe_reply(meta, h, p);
@@ -225,8 +225,8 @@ void EdgeNode::handle_verb(Ctl tag, ByteReader& r, const Message& m) {
   if (tag != Ctl::kDescribe) return;  // live joins are origin business
   const std::string name = r.str();
   const obs::TraceContext ctx = streaming::proto::read_trace_context(r);
-  const std::uint64_t sp = trace_->begin_span(ctx, "edge.describe", host_);
-  trace_->end_span(ctx, sp, "edge.describe", host_);
+  const std::uint64_t sp = flight_->begin_span(ctx, "edge.describe", host_);
+  flight_->end_span(ctx, sp, "edge.describe", host_);
   ContentMeta& meta = ensure_meta(name, ctx);
   if (meta.ready) {
     describe_reply(meta, m.src, m.src_port);
@@ -321,17 +321,17 @@ EdgeNode::Fetch& EdgeNode::start_fetch(const std::string& content,
   (demand ? m_demand_fetches_ : m_prefetch_fetches_).inc();
   if (demand) {
     // A demand fetch IS a cache miss on the session's critical path.
-    net_.obs().flight().record(obs::FlightType::kCacheMiss,
-                               static_cast<std::uint32_t>(host_), segment);
+    flight_->record(obs::FlightType::kCacheMiss,
+                    static_cast<std::uint32_t>(host_), segment);
   }
   const char* span_name = demand ? "edge.miss_fill" : "edge.prefetch";
   if (ctx.valid()) {
     f.ctx = ctx;
-    f.span = trace_->begin_span(ctx, span_name, host_, segment);
-  } else if (trace_->enabled()) {
+    f.span = flight_->begin_span(ctx, span_name, host_, segment);
+  } else {
     // Context-free fill (prefetch, or an untraced session): keep the legacy
     // unlinked span events so the fetch still shows up in the stream.
-    trace_->emit(obs::EventType::kSpanBegin, host_, segment, 0, span_name);
+    flight_->emit(obs::FlightType::kSpanBegin, host_, segment, 0, span_name);
   }
   ByteWriter w;
   w.str(content);
@@ -377,12 +377,12 @@ void EdgeNode::on_segment(const std::string& content, std::uint32_t segment,
     }
   }
   if (fetch.span != 0) {
-    trace_->end_span(fetch.ctx, fetch.span,
-                     fetch.demand ? "edge.miss_fill" : "edge.prefetch", host_,
-                     segment, status);
-  } else if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kSpanEnd, host_, segment, status,
-                 fetch.demand ? "edge.miss_fill" : "edge.prefetch");
+    flight_->end_span(fetch.ctx, fetch.span,
+                      fetch.demand ? "edge.miss_fill" : "edge.prefetch", host_,
+                      segment, status);
+  } else {
+    flight_->emit(obs::FlightType::kSpanEnd, host_, segment, status,
+                  fetch.demand ? "edge.miss_fill" : "edge.prefetch");
   }
   if (status != 200) return;  // parked sessions stall; the player fails over
 

@@ -57,7 +57,7 @@ class OriginGateway {
  private:
   streaming::StreamingServer& origin_;
   net::RpcServer rpc_;
-  obs::TraceSink* trace_{nullptr};
+  obs::FlightRecorder* flight_{nullptr};
   obs::Counter m_meta_requests_;
   obs::Counter m_segment_requests_;
   obs::Counter m_segment_bytes_;

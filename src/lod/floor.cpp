@@ -56,9 +56,7 @@ bool FloorControl::request(const std::string& user) {
   if (!rec || marking_[rec->requesting] > 0 || marking_[rec->holding] > 0) {
     // Unknown, already queued, or already holding.
     m_denies_.inc();
-    if (hub_ && hub_->trace().enabled()) {
-      hub_->trace().emit(obs::EventType::kFloorDeny, 0, 0, 0, user);
-    }
+    if (hub_) hub_->flight().emit(obs::FlightType::kFloorDeny, 0, 0, 0, user);
     return false;
   }
   // Deposit a request token; the grant transition may fire when this user
@@ -69,12 +67,11 @@ bool FloorControl::request(const std::string& user) {
   m_requests_.inc();
   if (hub_) {
     asked_at_[user] = hub_->now_us();
-    if (hub_->trace().enabled()) {
-      auto& trace = hub_->trace();
+    if (auto& trace = hub_->flight(); trace.tracing()) {
       const obs::TraceContext root = trace.make_trace();
       const std::uint64_t sp = trace.begin_span(root, "floor.request");
       request_spans_[user] = {root, sp};
-      trace.emit_in(root.child(sp), obs::EventType::kFloorRequest, 0, 0, 0,
+      trace.emit_in(root.child(sp), obs::FlightType::kFloorRequest, 0, 0, 0,
                     user);
     }
   }
@@ -86,17 +83,13 @@ bool FloorControl::release(const std::string& user) {
   const UserRec* rec = find(user);
   if (!rec || !net_.enabled(rec->release, marking_)) {
     m_denies_.inc();
-    if (hub_ && hub_->trace().enabled()) {
-      hub_->trace().emit(obs::EventType::kFloorDeny, 0, 1, 0, user);
-    }
+    if (hub_) hub_->flight().emit(obs::FlightType::kFloorDeny, 0, 1, 0, user);
     return false;
   }
   net_.fire_in_place(rec->release, marking_);
   log_.push_back(Event{Event::Kind::kRelease, user});
   m_releases_.inc();
-  if (hub_ && hub_->trace().enabled()) {
-    hub_->trace().emit(obs::EventType::kFloorRelease, 0, 0, 0, user);
-  }
+  if (hub_) hub_->flight().emit(obs::FlightType::kFloorRelease, 0, 0, 0, user);
   try_grant();
   return true;
 }
@@ -135,14 +128,14 @@ void FloorControl::try_grant() {
         asked_at_.erase(it);
       }
       if (auto it = request_spans_.find(*best); it != request_spans_.end()) {
-        auto& trace = hub_->trace();
+        auto& trace = hub_->flight();
         const auto [root, sp] = it->second;
-        trace.emit_in(root.child(sp), obs::EventType::kFloorGrant, 0, 0, 0,
+        trace.emit_in(root.child(sp), obs::FlightType::kFloorGrant, 0, 0, 0,
                       *best);
         trace.end_span(root, sp, "floor.request");
         request_spans_.erase(it);
-      } else if (hub_->trace().enabled()) {
-        hub_->trace().emit(obs::EventType::kFloorGrant, 0, 0, 0, *best);
+      } else {
+        hub_->flight().emit(obs::FlightType::kFloorGrant, 0, 0, 0, *best);
       }
     }
     fifo_.erase(best);

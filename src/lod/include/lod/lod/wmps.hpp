@@ -10,7 +10,7 @@
 
 #include "lod/media/drm.hpp"
 #include "lod/net/network.hpp"
-#include "lod/obs/trace.hpp"
+#include "lod/obs/flight.hpp"
 #include "lod/media/sources.hpp"
 #include "lod/streaming/encoder.hpp"
 #include "lod/lod/abstraction.hpp"

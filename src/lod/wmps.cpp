@@ -60,16 +60,14 @@ void WmpsNode::record_publish(const PublishResult& res,
   } else {
     m_publish_errors_.inc();
   }
-  auto& trace = net_.simulator().obs().trace();
-  if (trace.enabled()) {
-    trace.emit_in(ctx, obs::EventType::kPublish, host_,
-                  static_cast<std::int64_t>(res.packets), res.ok ? 0 : 1,
-                  res.ok ? res.url : res.error);
-  }
+  net_.simulator().obs().flight().emit_in(
+      ctx, obs::FlightType::kPublish, host_,
+      static_cast<std::int64_t>(res.packets), res.ok ? 0 : 1,
+      res.ok ? res.url : res.error);
 }
 
 PublishResult WmpsNode::publish(const PublishForm& form) {
-  auto& trace = net_.simulator().obs().trace();
+  auto& trace = net_.simulator().obs().flight();
   const obs::TraceContext root = trace.make_trace();
   const std::uint64_t sp = trace.begin_span(root, "wmps.publish", host_);
   const obs::TraceContext ctx = root.child(sp);
@@ -83,7 +81,7 @@ PublishResult WmpsNode::publish(const PublishForm& form) {
 PublishResult WmpsNode::publish_abstraction(
     const PublishForm& form, const std::vector<LectureSegment>& segments,
     int level) {
-  auto& trace = net_.simulator().obs().trace();
+  auto& trace = net_.simulator().obs().flight();
   const obs::TraceContext root = trace.make_trace();
   const std::uint64_t sp = trace.begin_span(root, "wmps.publish", host_, level);
   const obs::TraceContext ctx = root.child(sp);

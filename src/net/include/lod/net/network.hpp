@@ -252,7 +252,6 @@ class Network : public Transport {
 
   Simulator& sim_;
   Rng rng_;
-  obs::TraceSink* trace_{nullptr};
   obs::Counter packets_sent_;
   obs::Counter packets_delivered_;
   obs::Counter packets_dropped_loss_;

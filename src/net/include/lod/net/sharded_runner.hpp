@@ -6,7 +6,7 @@
 
 #include "lod/net/simulator.hpp"
 #include "lod/obs/metrics.hpp"
-#include "lod/obs/trace.hpp"
+#include "lod/obs/flight.hpp"
 
 /// \file sharded_runner.hpp
 /// Horizontal scale-out for the single-threaded simulator: partition N
@@ -24,9 +24,9 @@
 ///
 /// Observability composes across the cut: per-shard `obs::Snapshot`s merge
 /// via `Snapshot::merged` (counters sum, histograms merge, gauges last-write
-/// + per-shard `{shard=K}` series) and per-shard trace timelines collate via
+/// + per-shard `{shard=K}` series) and per-shard trace lanes collate via
 /// `obs::collate_events`, so `obs_report` and the Prometheus/JSON exporters
-/// work unchanged on merged output. Each shard's TraceSink gets the id seed
+/// work unchanged on merged output. Each shard's journal gets the id seed
 /// `(shard+1) << 32` so trace/span ids cannot collide in the merge.
 
 namespace lod::net {
@@ -52,7 +52,8 @@ struct ShardResult {
   std::size_t shard{0};
   std::uint64_t seed{0};
   obs::Snapshot snapshot;
-  std::vector<obs::TraceEvent> trace;
+  /// The shard journal's trace lane (empty unless tracing was enabled).
+  std::vector<obs::FlightEvent> trace;
   std::uint64_t events_fired{0};
   SimTime end_time{};
   /// CPU microseconds the worker's thread spent inside the shard body
@@ -68,7 +69,7 @@ struct ShardedResult {
   /// Snapshot::merged over the shards, labeled "0".."K-1" in shard order.
   obs::Snapshot merged;
   /// All shards' trace events collated by (t, shard, emit order).
-  std::vector<obs::TraceEvent> trace;
+  std::vector<obs::FlightEvent> trace;
   /// Elapsed wall-clock of the whole run (launch to last join).
   std::int64_t wall_us{0};
   /// max over shards of busy_us: the parallel critical path.
@@ -86,8 +87,9 @@ class ShardedRunner {
  public:
   using ShardBody = std::function<void(ShardEnv&)>;
 
-  /// \p shards is clamped to >= 1. \p enable_trace switches every shard's
-  /// TraceSink on (with collision-free id seeds) before the body runs.
+  /// \p shards is clamped to >= 1. \p enable_trace switches tracing on in
+  /// every shard's journal (with collision-free id seeds) before the body
+  /// runs.
   explicit ShardedRunner(std::size_t shards, std::uint64_t root_seed = 0x5eed,
                          bool enable_trace = false);
 

@@ -178,7 +178,6 @@ class ReliableEndpoint {
   obs::Counter messages_sent_;
   obs::Counter messages_delivered_;
   obs::Counter retransmissions_metric_;
-  obs::TraceSink* trace_{nullptr};
   std::shared_ptr<bool> alive_{std::make_shared<bool>(true)};
 };
 

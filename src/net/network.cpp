@@ -9,7 +9,6 @@ namespace lod::net {
 
 Network::Network(Simulator& sim, std::uint64_t seed) : sim_(sim), rng_(seed) {
   auto& reg = sim_.obs().metrics();
-  trace_ = &sim_.obs().trace();
   packets_sent_ = reg.counter("lod.net.packets_sent");
   packets_delivered_ = reg.counter("lod.net.packets_delivered");
   packets_dropped_loss_ = reg.counter("lod.net.packets_dropped_loss");
@@ -152,10 +151,8 @@ bool Network::send(Packet p) {
   p.id = next_packet_++;
   packets_sent_.inc();
   bytes_sent_.inc(p.wire_size);
-  if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kPacketSend, p.src,
-                 static_cast<std::int64_t>(p.id), p.wire_size);
-  }
+  sim_.obs().flight().emit(obs::FlightType::kPacketSend, p.src,
+                           static_cast<std::int64_t>(p.id), p.wire_size);
   if (p.src == p.dst) {
     // Loopback: deliver after the current handler unwinds, keeping the
     // "receive is always asynchronous" invariant callers rely on.
@@ -201,10 +198,8 @@ void Network::forward(std::uint32_t slot) {
     sim_.obs().flight().record(
         obs::FlightType::kFrameDrop, static_cast<std::uint32_t>(from), p.id,
         static_cast<std::uint64_t>(obs::DropCause::kLoss));
-    if (trace_->enabled()) {
-      trace_->emit(obs::EventType::kPacketDropLoss, from,
-                   static_cast<std::int64_t>(p.id), to);
-    }
+    sim_.obs().flight().emit(obs::FlightType::kPacketDropLoss, from,
+                             static_cast<std::int64_t>(p.id), to);
     h = Hop{};
     free_hops_.push_back(slot);
     return;
@@ -233,10 +228,8 @@ void Network::forward(std::uint32_t slot) {
       sim_.obs().flight().record(
           obs::FlightType::kFrameDrop, static_cast<std::uint32_t>(from), p.id,
           static_cast<std::uint64_t>(obs::DropCause::kQueue));
-      if (trace_->enabled()) {
-        trace_->emit(obs::EventType::kPacketDropQueue, from,
-                     static_cast<std::int64_t>(p.id), to);
-      }
+      sim_.obs().flight().emit(obs::FlightType::kPacketDropQueue, from,
+                               static_cast<std::int64_t>(p.id), to);
       h = Hop{};
       free_hops_.push_back(slot);
       return;
@@ -287,10 +280,8 @@ void Network::arrive(std::uint32_t slot) {
 
 void Network::deliver(const Packet& p) {
   packets_delivered_.inc();
-  if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kPacketRecv, p.dst,
-                 static_cast<std::int64_t>(p.id), p.wire_size);
-  }
+  sim_.obs().flight().emit(obs::FlightType::kPacketRecv, p.dst,
+                           static_cast<std::int64_t>(p.id), p.wire_size);
   Receiver* r = hosts_[p.dst].ports.find(p.dst_port);
   if (!r) return;
   delivering_ = r;

@@ -688,7 +688,8 @@ std::string RealTransport::http_respond(std::string_view method,
       }
     }
     return http_response_string(
-        200, "OK", obs::debug_trace_json(hub_.trace().events(), trace_id),
+        200, "OK",
+        obs::debug_trace_json(hub_.flight().trace_events(), trace_id),
         "application/json");
   }
   // /debug/flight: the live journal in dump format (meta line + JSONL).

@@ -60,17 +60,17 @@ ShardedResult ShardedRunner::run(const ShardBody& body) const {
     out.seed = derive_shard_seed(root_seed_, shard);
     try {
       Simulator sim;
-      obs::TraceSink& sink = sim.obs().trace();
+      obs::FlightRecorder& journal = sim.obs().flight();
       // Collision-free ids across shards: shard k mints trace/span ids in
       // [(k+1)<<32, (k+2)<<32).
-      sink.set_id_seed((static_cast<std::uint64_t>(shard) + 1) << 32);
-      sink.set_enabled(enable_trace_);
+      journal.set_id_seed((static_cast<std::uint64_t>(shard) + 1) << 32);
+      journal.set_tracing(enable_trace_);
       ShardEnv env{sim, shard, shards_, out.seed};
       const std::int64_t cpu0 = thread_cpu_us();
       body(env);
       out.busy_us = thread_cpu_us() - cpu0;
       out.snapshot = sim.obs().metrics().snapshot();
-      out.trace = sink.events();
+      out.trace = journal.trace_events();
       out.events_fired = out.snapshot.counter("lod.sim.events_fired");
       out.end_time = sim.now();
     } catch (...) {
@@ -96,7 +96,7 @@ ShardedResult ShardedRunner::run(const ShardBody& body) const {
   }
 
   std::vector<std::pair<std::string, obs::Snapshot>> labeled;
-  std::vector<std::vector<obs::TraceEvent>> timelines;
+  std::vector<std::vector<obs::FlightEvent>> timelines;
   labeled.reserve(shards_);
   timelines.reserve(shards_);
   for (auto& s : result.shards) {

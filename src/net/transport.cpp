@@ -79,7 +79,6 @@ ReliableEndpoint::ReliableEndpoint(Transport& net, HostId host, Port port,
   messages_sent_ = reg.counter("lod.transport.messages_sent");
   messages_delivered_ = reg.counter("lod.transport.messages_delivered");
   retransmissions_metric_ = reg.counter("lod.transport.retransmissions");
-  trace_ = &net_.obs().trace();
   net_.bind(host_, port_, [this](const Datagram& p) { handle_packet(p); });
 }
 
@@ -166,10 +165,8 @@ void ReliableEndpoint::arm_retransmit(const PeerKey& peer, std::uint64_t seq,
         if (!msg) return;
         ++retransmissions_;
         retransmissions_metric_.inc();
-        if (trace_->enabled()) {
-          trace_->emit(obs::EventType::kMsgRetransmit, host_,
-                       static_cast<std::int64_t>(seq), peer.host);
-        }
+        net_.obs().flight().emit(obs::FlightType::kMsgRetransmit, host_,
+                                 static_cast<std::int64_t>(seq), peer.host);
         transmit(peer, seq, *msg);
         arm_retransmit(peer, seq, tries_left - 1);
       });

@@ -239,7 +239,7 @@ std::string span_tree_to_json(const SpanTree& tree) {
   return out;
 }
 
-std::string debug_trace_json(const std::vector<TraceEvent>& events,
+std::string debug_trace_json(const std::vector<FlightEvent>& events,
                              std::uint64_t trace_id) {
   const std::vector<SpanTree> trees = build_span_trees(events);
   if (trace_id == 0) {

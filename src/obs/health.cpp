@@ -55,21 +55,17 @@ std::size_t HealthMonitor::evaluate() {
                          : *v < rule.threshold;
     if (bad) ++violated;
     if (bad && st.healthy) {
-      // Transition into violation: one typed event + one counted violation
-      // per crossing, not per evaluation, so a persistent breach does not
-      // flood the ring.
-      hub_.trace().emit(EventType::kSloViolation, actor_of(rule.site),
-                        std::llround(*v * 1000.0),
-                        std::llround(rule.threshold * 1000.0), rule.name);
+      // Transition into violation: one journaled crossing (detail = the
+      // rule) + one counted violation per crossing, not per evaluation, so
+      // a persistent breach does not flood the journal. Then ship the last
+      // N seconds of history with it: trigger a flight dump (a no-op beyond
+      // the marker when no dump sink is installed).
       violation_counters_[i].inc();
-      // Ship the last N seconds of history with the violation: journal the
-      // crossing, then trigger a flight dump (a no-op beyond the marker
-      // when no dump sink is installed).
       hub_.flight().record_at(
           now, FlightType::kSloViolation,
           static_cast<std::uint32_t>(actor_of(rule.site)),
-          static_cast<std::uint64_t>(std::llround(*v * 1000.0)),
-          static_cast<std::uint64_t>(std::llround(rule.threshold * 1000.0)));
+          std::llround(*v * 1000.0), std::llround(rule.threshold * 1000.0),
+          FlightRecorder::kLaneControl, rule.name);
       hub_.flight().trigger_dump("slo." + rule.name);
     }
     st.healthy = !bad;

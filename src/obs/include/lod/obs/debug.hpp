@@ -10,7 +10,7 @@
 #include "lod/obs/metrics.hpp"
 #include "lod/obs/rollup.hpp"
 #include "lod/obs/spantree.hpp"
-#include "lod/obs/trace.hpp"
+#include "lod/obs/flight.hpp"
 
 /// \file debug.hpp
 /// Renderers behind the live `/debug/*` introspection plane. Each function
@@ -51,7 +51,7 @@ std::string span_tree_to_json(const SpanTree& tree);
 /// `trace_id == 0`: an index of every trace in `events` (id, root name,
 /// span count, duration). Otherwise the matching tree via
 /// `span_tree_to_json`, or `{"error":"trace not found",...}`.
-std::string debug_trace_json(const std::vector<TraceEvent>& events,
+std::string debug_trace_json(const std::vector<FlightEvent>& events,
                              std::uint64_t trace_id);
 
 /// The live journal in dump format: a `flight_dump` meta line (reason,

@@ -14,8 +14,9 @@
 /// The SLO health monitor: registered rules evaluated against periodic
 /// registry snapshots on the simulated clock. A rule maps a snapshot to a
 /// scalar (startup p95, stall ratio, cache hit rate, ...) and a threshold;
-/// crossing it flips the rule unhealthy, emits a typed `kSloViolation`
-/// trace event, and bumps `lod.health.violations{rule}`. `site_healthy()`
+/// crossing it flips the rule unhealthy, journals one `kSloViolation`
+/// naming the rule, triggers a flight dump, and bumps
+/// `lod.health.violations{rule}`. `site_healthy()`
 /// is the control-signal side: the edge `ReplicaSelector` consults it to
 /// demote sites whose SLOs are violated, so telemetry feeds back into
 /// placement.

@@ -9,12 +9,11 @@
 
 #include "lod/obs/flight.hpp"
 #include "lod/obs/metrics.hpp"
-#include "lod/obs/trace.hpp"
 
 /// \file hub.hpp
 /// The per-simulation observability root. The `Simulator` owns one Hub and
 /// every layer reaches it through the simulator (or a pointer handed down at
-/// attach time), so one simulation == one registry == one trace timeline.
+/// attach time), so one simulation == one registry == one event journal.
 
 namespace lod::obs {
 
@@ -41,31 +40,26 @@ struct SessionRow {
 
 class Hub {
  public:
-  Hub() { trace_.set_flight(&flight_); }
+  Hub() = default;
   Hub(const Hub&) = delete;
   Hub& operator=(const Hub&) = delete;
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  TraceSink& trace() { return trace_; }
-  const TraceSink& trace() const { return trace_; }
-
-  /// The always-on flight recorder (see flight.hpp). Spans mirror into it
-  /// automatically; layers journal their own events through this handle.
+  /// The event journal (see flight.hpp): the always-on flight recorder
+  /// and, while tracing is on, the causal trace. Layers journal their
+  /// events and open their spans through this handle.
   FlightRecorder& flight() { return flight_; }
   const FlightRecorder& flight() const { return flight_; }
 
-  /// Install the timestamp source (the simulator's clock). Shared with the
-  /// trace sink and the flight recorder.
+  /// Install the timestamp source (the simulator's clock) on the journal.
   void set_clock(std::function<TimeUs()> clock) {
-    clock_ = std::move(clock);
-    trace_.set_clock(clock_);
-    flight_.set_clock(clock_);
+    flight_.set_clock(std::move(clock));
   }
 
   /// Current time per the installed clock; 0 if none.
-  TimeUs now_us() const { return clock_ ? clock_() : 0; }
+  TimeUs now_us() const { return flight_.now(); }
 
   Snapshot snapshot() const { return metrics_.snapshot(); }
 
@@ -85,9 +79,7 @@ class Hub {
 
  private:
   MetricsRegistry metrics_;
-  TraceSink trace_;
   FlightRecorder flight_;
-  std::function<TimeUs()> clock_;
   std::map<const void*, SessionLister> listers_;
 };
 

@@ -4,14 +4,15 @@
 #include <string>
 #include <vector>
 
-#include "lod/obs/trace.hpp"
+#include "lod/obs/flight.hpp"
 
 /// \file spantree.hpp
-/// Reconstruction of per-trace span trees from trace events — the reader
+/// Reconstruction of per-trace span trees from journal events — the reader
 /// side of causal tracing. `build_span_trees` pairs kSpanBegin/kSpanEnd by
 /// span id, links children to parents, and groups everything by trace id;
-/// the events may come from one sink or from several sinks' parsed JSONL
-/// concatenated (give each sink a distinct id seed so ids cannot collide).
+/// the events may come from one journal, a parsed dump, or several
+/// journals' parsed JSONL concatenated (give each journal a distinct id
+/// seed so ids cannot collide).
 ///
 /// `SpanTree::decompose` answers the question the flat event list cannot:
 /// *where did the time go*. It charges every instant of the root span's
@@ -47,7 +48,7 @@ struct SpanTree {
   std::vector<SpanNode> nodes;        ///< begin-time order
   std::vector<std::size_t> roots;     ///< nodes with parent == 0
   std::vector<std::size_t> orphans;   ///< parent id named but never seen
-  std::vector<TraceEvent> points;     ///< non-span events tagged with ctx
+  std::vector<FlightEvent> points;     ///< non-span events tagged with ctx
 
   /// The first root, or nullptr for a degenerate (span-free) trace.
   const SpanNode* root() const;
@@ -71,7 +72,7 @@ struct SpanTree {
 
 /// Group \p events by trace id and reconstruct one tree per trace, ordered
 /// by trace id. Events with trace == 0 are ignored.
-std::vector<SpanTree> build_span_trees(const std::vector<TraceEvent>& events);
+std::vector<SpanTree> build_span_trees(const std::vector<FlightEvent>& events);
 
 /// Human-readable indented timeline of one tree (used by obs_report):
 /// offsets relative to the root's begin, self-times from decompose().

@@ -113,7 +113,7 @@ std::vector<std::size_t> SpanTree::critical_path() const {
   return out;
 }
 
-std::vector<SpanTree> build_span_trees(const std::vector<TraceEvent>& events) {
+std::vector<SpanTree> build_span_trees(const std::vector<FlightEvent>& events) {
   struct Working {
     SpanTree tree;
     std::unordered_map<std::uint64_t, std::size_t> by_id;
@@ -121,12 +121,12 @@ std::vector<SpanTree> build_span_trees(const std::vector<TraceEvent>& events) {
   };
   std::map<std::uint64_t, Working> traces;
 
-  for (const TraceEvent& e : events) {
+  for (const FlightEvent& e : events) {
     if (e.trace == 0) continue;
     Working& w = traces[e.trace];
     w.tree.trace_id = e.trace;
     w.last_t = std::max(w.last_t, e.t);
-    if (e.type == EventType::kSpanBegin && e.span != 0) {
+    if (e.type == FlightType::kSpanBegin && e.span != 0) {
       if (w.by_id.count(e.span)) continue;  // duplicate id: keep the first
       SpanNode n;
       n.id = e.span;
@@ -139,7 +139,7 @@ std::vector<SpanTree> build_span_trees(const std::vector<TraceEvent>& events) {
       n.b = e.b;
       w.by_id.emplace(e.span, w.tree.nodes.size());
       w.tree.nodes.push_back(std::move(n));
-    } else if (e.type == EventType::kSpanEnd && e.span != 0) {
+    } else if (e.type == FlightType::kSpanEnd && e.span != 0) {
       const auto it = w.by_id.find(e.span);
       if (it == w.by_id.end()) continue;  // end without begin: drop
       SpanNode& n = w.tree.nodes[it->second];
@@ -185,7 +185,7 @@ std::vector<SpanTree> build_span_trees(const std::vector<TraceEvent>& events) {
       }
     }
     std::sort(w.tree.points.begin(), w.tree.points.end(),
-              [](const TraceEvent& l, const TraceEvent& r) {
+              [](const FlightEvent& l, const FlightEvent& r) {
                 return l.t < r.t;
               });
     out.push_back(std::move(w.tree));
@@ -247,7 +247,7 @@ std::string format_span_tree(const SpanTree& tree) {
       render_node(tree, o, 2, origin, self, out);
     }
   }
-  for (const TraceEvent& p : tree.points) {
+  for (const FlightEvent& p : tree.points) {
     out += "  @+";
     out += fmt_ms(p.t - origin);
     out += ' ';

@@ -460,7 +460,7 @@ class Player {
   /// Single funnel for slide visibility: records, measures, notifies.
   void record_slide(SlideEvent ev);
   /// Record, trace (with \p b) and announce a user interaction.
-  void note_interaction(InteractionRecord::Kind kind, obs::EventType type,
+  void note_interaction(InteractionRecord::Kind kind, obs::FlightType type,
                         std::int64_t b = 0, net::SimDuration target = {});
   void note_render_for_interactions(net::SimTime t);
   net::SimTime local_now() const;
@@ -564,11 +564,11 @@ class Player {
   std::vector<StallEvent> stalls_;
   std::vector<InteractionRecord> interactions_;
   PlayerObserver* observer_{nullptr};
-  obs::TraceSink* trace_{nullptr};
+  obs::FlightRecorder* flight_{nullptr};
   /// Causal tracing: one trace per user-facing session, rooted at a
   /// "player.session" span; the context rides the control protocol so the
-  /// serving site's spans link under ours. Invalid (all no-op) when the
-  /// sink is disabled at open time.
+  /// serving site's spans link under ours. Invalid (all no-op) when
+  /// tracing is off at open time.
   obs::TraceContext session_ctx_;
   std::uint64_t session_span_{0};   ///< "player.session" root span
   std::uint64_t describe_span_{0};  ///< reopen -> kDescribeOk

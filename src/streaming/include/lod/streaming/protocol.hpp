@@ -5,7 +5,7 @@
 
 #include "lod/net/bytes.hpp"
 #include "lod/net/transport_base.hpp"
-#include "lod/obs/trace.hpp"
+#include "lod/obs/flight.hpp"
 
 /// \file protocol.hpp
 /// Wire protocol between streaming server and players.

@@ -180,7 +180,7 @@ class SessionEngine {
  protected:
   net::Transport& net_;
   net::HostId host_;
-  obs::TraceSink* trace_;
+  obs::FlightRecorder* flight_;
 
  private:
   /// The source a kPlay of \p name reads, or nullptr to refuse it.
@@ -195,8 +195,8 @@ class SessionEngine {
   /// Jump to \p packet and pace from it as of now.
   void anchor(Session& s, std::uint32_t packet);
   void cancel_timer(Session& s);
-  /// A session event for the trace sink, when it is enabled.
-  void trace(obs::EventType type, const Session& s, std::int64_t b = 0);
+  /// A session event on the journal's trace lane, when tracing is on.
+  void trace(obs::FlightType type, const Session& s, std::int64_t b = 0);
   void schedule_next(Session& s);
   void fire(Session& s);
 

@@ -28,7 +28,7 @@ Player::Player(net::Transport& net, net::HostId host, PlayerConfig cfg,
       data_(net, host, cfg.data_port),
       web_(net, host, static_cast<net::Port>(cfg.data_port + 1)) {
   auto& reg = net_.obs().metrics();
-  trace_ = &net_.obs().trace();
+  flight_ = &net_.obs().flight();
   const obs::Labels l{{"host", std::to_string(host_)}};
   m_packets_received_ = reg.counter("lod.player.packets_received", l);
   m_units_rendered_ = reg.counter("lod.player.units_rendered", l);
@@ -64,7 +64,7 @@ void Player::cancel_timer(std::optional<net::EventId>& timer) {
 void Player::end_phase(std::uint64_t& span, const char* name,
                        std::int64_t a) {
   if (span == 0) return;
-  trace_->end_span(session_ctx_, span, name, host_, a);
+  flight_->end_span(session_ctx_, span, name, host_, a);
   span = 0;
 }
 
@@ -81,8 +81,8 @@ void Player::enter_finished() {
     end_phase(startup_span_, "player.startup");
     end_phase(failover_span_, "player.failover");
     const obs::TraceContext root{session_ctx_.trace_id, 0};
-    trace_->end_span(root, session_span_, "player.session", host_,
-                     static_cast<std::int64_t>(failovers_));
+    flight_->end_span(root, session_span_, "player.session", host_,
+                      static_cast<std::int64_t>(failovers_));
     session_span_ = 0;
     session_ctx_ = {};
   }
@@ -184,8 +184,8 @@ void Player::begin_session_trace() {
     adopted_trace_ = false;
     return;
   }
-  const obs::TraceContext root = trace_->make_trace();
-  session_span_ = trace_->begin_span(root, "player.session", host_);
+  const obs::TraceContext root = flight_->make_trace();
+  session_span_ = flight_->begin_span(root, "player.session", host_);
   session_ctx_ = root.child(session_span_);
 }
 
@@ -242,9 +242,9 @@ void Player::reopen(net::HostId site, std::string content,
       live_ = resume_at.us < 0;
       state_ = State::kOpening;
       demux_.reset();  // nothing is ingested until the new header is known
-      describe_span_ = trace_->begin_span(session_ctx_, "player.describe",
-                                          host_,
-                                          static_cast<std::int64_t>(server_));
+      describe_span_ = flight_->begin_span(session_ctx_, "player.describe",
+                                           host_,
+                                           static_cast<std::int64_t>(server_));
       ByteWriter w;
       w.u8(static_cast<std::uint8_t>(Ctl::kDescribe));
       w.str(content_);
@@ -304,9 +304,7 @@ void Player::on_described(std::span<const std::byte> header_bytes) {
     w.u16(cfg_.data_port);
     ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
     play_issued_ = net_.now();
-    if (trace_->enabled()) {
-      trace_->emit(obs::EventType::kPlayIssued, host_, 0, 1, content_);
-    }
+    flight_->emit(obs::FlightType::kPlayIssued, host_, 0, 1, content_);
     state_ = State::kBuffering;
   } else {
     const net::SimDuration from =
@@ -319,7 +317,7 @@ void Player::send_play(net::SimDuration from) {
   // The startup span opens at the same instant kPlayIssued stamps, so its
   // duration equals startup_delay() exactly.
   startup_span_ =
-      trace_->begin_span(session_ctx_, "player.startup", host_, from.us);
+      flight_->begin_span(session_ctx_, "player.startup", host_, from.us);
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(Ctl::kPlay));
   w.str(content_);
@@ -330,10 +328,8 @@ void Player::send_play(net::SimDuration from) {
   w.u64(startup_span_);
   ctl_.send_to(server_, cfg_.server_port, std::move(w).take());
   play_issued_ = net_.now();
-  if (trace_->enabled()) {
-    trace_->emit_in(session_ctx_, obs::EventType::kPlayIssued, host_, from.us,
-                    0, content_);
-  }
+  flight_->emit_in(session_ctx_, obs::FlightType::kPlayIssued, host_, from.us,
+                   0, content_);
   expected_seq_reset_ = true;
   eos_received_ = false;
   state_ = State::kBuffering;
@@ -406,11 +402,11 @@ void Player::downshift() {
 void Player::do_failover() {
   ++failovers_;
   m_failovers_.inc();
-  net_.obs().flight().record(obs::FlightType::kFailover,
-                             static_cast<std::uint32_t>(host_), server_);
+  flight_->record(obs::FlightType::kFailover,
+                  static_cast<std::uint32_t>(host_), server_);
   if (failover_span_ == 0) {
-    failover_span_ = trace_->begin_span(session_ctx_, "player.failover", host_,
-                                        static_cast<std::int64_t>(server_));
+    failover_span_ = flight_->begin_span(session_ctx_, "player.failover", host_,
+                                         static_cast<std::int64_t>(server_));
   }
   // A watchdog firing while a migration RPC is still in flight means the
   // migration TARGET went quiet too: that is the site to mark down.
@@ -581,9 +577,7 @@ void Player::handle_control(const net::ReliableEndpoint::Message& m) {
       net_.clock(host_).adjust(offset);
       last_correction_ = offset;
       if (selector_) selector_->observe(server_, rtt / 2);
-      if (trace_->enabled()) {
-        trace_->emit(obs::EventType::kClockSync, host_, offset.us, rtt.us);
-      }
+      flight_->emit(obs::FlightType::kClockSync, host_, offset.us, rtt.us);
       return;
     }
     case Ctl::kEndOfStream: {
@@ -664,7 +658,7 @@ void Player::handle_data(const net::Datagram& p) {
   } else if (seq > last_seq_ + 1) {
     units_lost_ += seq - last_seq_ - 1;  // packet-level loss estimate
     m_units_lost_.inc(seq - last_seq_ - 1);
-    net_.obs().flight().record(
+    flight_->record(
         obs::FlightType::kFrameDrop, static_cast<std::uint32_t>(host_), seq,
         static_cast<std::uint64_t>(obs::DropCause::kUnitLost));
     last_seq_ = seq;
@@ -714,9 +708,7 @@ void Player::request_repair(std::uint32_t first, std::uint32_t last) {
   }
   if (count == 0) return;
   m_repairs_requested_.inc(count);
-  if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kRepairRequest, host_, count);
-  }
+  flight_->emit(obs::FlightType::kRepairRequest, host_, count);
   ByteWriter args;
   args.u32(count);
   args.raw(idxw.bytes());
@@ -801,10 +793,8 @@ void Player::ingest_bytes(const net::Payload& bytes) {
       stalls_.push_back(ev);
       m_stalls_.inc();
       m_stall_us_.observe(ev.duration.us);
-      if (trace_->enabled()) {
-        trace_->emit_in(session_ctx_, obs::EventType::kStall, host_,
-                        ev.duration.us);
-      }
+      flight_->emit_in(session_ctx_, obs::FlightType::kStall, host_,
+                       ev.duration.us);
       if (observer_) observer_->on_stall(ev);
     }
     waiting_since_.reset();
@@ -1016,10 +1006,8 @@ void Player::render_due() {
     m_render_offset_us_.observe(now.us - meta.pts.us);
     if (render_start_pending_) {
       render_start_pending_ = false;
-      if (trace_->enabled()) {
-        trace_->emit_in(session_ctx_, obs::EventType::kRenderStart, host_,
-                        meta.pts.us, 0, content_);
-      }
+      flight_->emit_in(session_ctx_, obs::FlightType::kRenderStart, host_,
+                       meta.pts.us, 0, content_);
     }
     if (observer_) observer_->on_render(ev);
     note_render_for_interactions(now);
@@ -1074,10 +1062,8 @@ void Player::show_slide(const std::string& url, net::SimDuration at) {
 void Player::record_slide(SlideEvent ev) {
   m_slides_shown_.inc();
   m_slide_fetch_us_.observe(ev.fetch_latency.us);
-  if (trace_->enabled()) {
-    trace_->emit(obs::EventType::kSlideShow, host_, ev.pts.us,
-                 ev.fetch_latency.us, ev.url);
-  }
+  flight_->emit(obs::FlightType::kSlideShow, host_, ev.pts.us,
+                ev.fetch_latency.us, ev.url);
   slides_.push_back(std::move(ev));
   if (observer_) observer_->on_slide(slides_.back());
 }
@@ -1091,10 +1077,8 @@ void Player::execute_scripts_upto(net::SimDuration pos) {
       } else if (cmd.type == "ANNOT") {
         annotations_.push_back(
             AnnotationEvent{cmd.param, cmd.at, net_.now()});
-        if (trace_->enabled()) {
-          trace_->emit(obs::EventType::kAnnotation, host_, cmd.at.us, 0,
-                       cmd.param);
-        }
+        flight_->emit(obs::FlightType::kAnnotation, host_, cmd.at.us, 0,
+                      cmd.param);
         if (observer_) observer_->on_annotation(annotations_.back());
       }
     }
@@ -1112,15 +1096,14 @@ void Player::note_render_for_interactions(net::SimTime t) {
 
 // --- user interactions ---------------------------------------------------------------
 
-void Player::note_interaction(InteractionRecord::Kind kind, obs::EventType type,
-                              std::int64_t b, net::SimDuration target) {
+void Player::note_interaction(InteractionRecord::Kind kind,
+                              obs::FlightType type, std::int64_t b,
+                              net::SimDuration target) {
   // A pause needs no resync: it is satisfied the moment it is issued.
   interactions_.push_back(InteractionRecord{
       kind, net_.now(), target, net::SimTime::max(),
       kind == InteractionRecord::Kind::kPause});
-  if (trace_->enabled()) {
-    trace_->emit(type, host_, static_cast<std::int64_t>(session_), b);
-  }
+  flight_->emit(type, host_, static_cast<std::int64_t>(session_), b);
   if (observer_) observer_->on_interaction(interactions_.back());
 }
 
@@ -1128,7 +1111,7 @@ void Player::pause() {
   if (state_ != State::kPlaying && state_ != State::kBuffering) return;
   clock_.pause(position());
   note_interaction(InteractionRecord::Kind::kPause,
-                   obs::EventType::kSessionPause);
+                   obs::FlightType::kSessionPause);
   if (cfg_.model == SyncModel::kEtpn) {
     // The extended model pauses the schedule in place.
     cancel_timer(render_timer_);
@@ -1146,7 +1129,7 @@ void Player::pause() {
 void Player::resume() {
   if (state_ != State::kPaused) return;
   note_interaction(InteractionRecord::Kind::kResume,
-                   obs::EventType::kSessionResume);
+                   obs::FlightType::kSessionResume);
   if (cfg_.model == SyncModel::kEtpn) {
     send_verb(Ctl::kResume);
     // Rebase the render clock and keep going with whatever is buffered.
@@ -1161,8 +1144,8 @@ void Player::resume() {
 
 void Player::seek(net::SimDuration to) {
   if (state_ == State::kIdle || state_ == State::kOpening || live_) return;
-  note_interaction(InteractionRecord::Kind::kSeek, obs::EventType::kSessionSeek,
-                   to.us, to);
+  note_interaction(InteractionRecord::Kind::kSeek,
+                   obs::FlightType::kSessionSeek, to.us, to);
   if (cfg_.model == SyncModel::kEtpn) {
     ByteWriter args;
     args.i64(to.us);
@@ -1191,8 +1174,8 @@ void Player::set_rate(double rate) {
       state_ != State::kBuffering) {
     return;
   }
-  note_interaction(InteractionRecord::Kind::kRate, obs::EventType::kSessionRate,
-                   permille);
+  note_interaction(InteractionRecord::Kind::kRate,
+                   obs::FlightType::kSessionRate, permille);
   // Faster playback needs a fatter pipe: renegotiate the QoS channel for
   // the scaled bit-rate (XOCPN's "channels according to the required QoS").
   // Mid-handshake there is no path to renegotiate on: adoption reserves at

@@ -117,8 +117,8 @@ void StreamingServer::handle_verb(Ctl tag, ByteReader& r, const Message& m) {
       // Instant span: the origin's handling is synchronous, but the marker
       // pins this hop (and its actor) into the caller's span tree.
       const std::uint64_t sp =
-          trace_->begin_span(ctx, "server.describe", host_);
-      trace_->end_span(ctx, sp, "server.describe", host_);
+          flight_->begin_span(ctx, "server.describe", host_);
+      flight_->end_span(ctx, sp, "server.describe", host_);
       ByteWriter w;
       w.u8(static_cast<std::uint8_t>(Ctl::kDescribeOk));
       w.blob(media::asf::serialize_header(*header));
@@ -135,10 +135,8 @@ void StreamingServer::handle_verb(Ctl tag, ByteReader& r, const Message& m) {
         return;
       }
       Session& s = open(m.src, m.src_port, data_port, nullptr);
-      if (trace_->enabled()) {
-        trace_->emit(obs::EventType::kSessionOpen, m.src,
-                     static_cast<std::int64_t>(s.id), 0, name);
-      }
+      flight_->emit(obs::FlightType::kSessionOpen, m.src,
+                    static_cast<std::int64_t>(s.id), 0, name);
       ByteWriter w;
       w.u8(static_cast<std::uint8_t>(Ctl::kPlayOk));
       w.u64(s.id);

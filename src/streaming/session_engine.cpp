@@ -13,7 +13,7 @@ SessionEngine::SessionEngine(net::Transport& net, net::HostId host,
                              double fast_start_multiplier, std::string role)
     : net_(net),
       host_(host),
-      trace_(&net.obs().trace()),
+      flight_(&net.obs().flight()),
       fast_start_multiplier_(fast_start_multiplier),
       role_(std::move(role)),
       ctl_(net, host, control_port),
@@ -57,11 +57,9 @@ SessionEngine::Session* SessionEngine::playable(std::uint64_t id) {
   return s && s->source ? s : nullptr;
 }
 
-void SessionEngine::trace(obs::EventType type, const Session& s,
+void SessionEngine::trace(obs::FlightType type, const Session& s,
                           std::int64_t b) {
-  if (trace_->enabled()) {
-    trace_->emit(type, s.client, static_cast<std::int64_t>(s.id), b);
-  }
+  flight_->emit(type, s.client, static_cast<std::int64_t>(s.id), b);
 }
 
 void SessionEngine::reply(net::HostId h, net::Port p,
@@ -121,14 +119,14 @@ SessionEngine::Session& SessionEngine::start(PacketSource& src,
   anchor(s, st.resume_index != std::numeric_limits<std::uint32_t>::max()
                 ? std::min(st.resume_index, src.packet_count())
                 : src.seek(st.position));
-  const auto id = static_cast<std::int64_t>(s.id);
-  const std::string span = role_ + (st.adopted ? ".adopt" : ".open");
-  const std::uint64_t sp = trace_->begin_span(st.ctx, span, host_, id);
-  trace_->end_span(st.ctx, sp, span, host_, id,
-                   st.adopted ? s.next_packet : 0);
-  if (trace_->enabled()) {
-    trace_->emit_in(st.ctx, obs::EventType::kSessionOpen, st.client, id,
-                    st.position.us, st.content);
+  if (flight_->tracing()) {
+    const auto id = static_cast<std::int64_t>(s.id);
+    const std::string span = role_ + (st.adopted ? ".adopt" : ".open");
+    const std::uint64_t sp = flight_->begin_span(st.ctx, span, host_, id);
+    flight_->end_span(st.ctx, sp, span, host_, id,
+                      st.adopted ? s.next_packet : 0);
+    flight_->emit_in(st.ctx, obs::FlightType::kSessionOpen, st.client, id,
+                     st.position.us, st.content);
   }
   if (!st.adopted) {
     ByteWriter w;
@@ -143,7 +141,7 @@ SessionEngine::Session& SessionEngine::start(PacketSource& src,
 
 void SessionEngine::end(Session& s) {
   counters_.active_sessions.add(-1);
-  trace(obs::EventType::kSessionStop, s);
+  trace(obs::FlightType::kSessionStop, s);
   cancel_timer(s);
   sessions_.erase(s.id);
 }
@@ -187,7 +185,7 @@ void SessionEngine::handle_control(const Message& m) {
       if (Session* s = playable(r.u64())) {
         s->paused = true;
         ++s->stats.pauses;
-        trace(obs::EventType::kSessionPause, *s);
+        trace(obs::FlightType::kSessionPause, *s);
         cancel_timer(*s);
       }
       return;
@@ -196,7 +194,7 @@ void SessionEngine::handle_control(const Message& m) {
     case Ctl::kResume: {
       if (Session* s = playable(r.u64()); s && s->paused) {
         s->paused = false;
-        trace(obs::EventType::kSessionResume, *s);
+        trace(obs::FlightType::kSessionResume, *s);
         anchor(*s, s->next_packet);
         schedule_next(*s);
       }
@@ -208,7 +206,7 @@ void SessionEngine::handle_control(const Message& m) {
       const net::SimDuration to{r.i64()};
       if (Session* s = playable(sid)) {
         ++s->stats.seeks;
-        trace(obs::EventType::kSessionSeek, *s, to.us);
+        trace(obs::FlightType::kSessionSeek, *s, to.us);
         ++s->epoch;  // packets from before the jump are now stale
         cancel_timer(*s);
         // Any fill the session is parked on belongs to the abandoned
@@ -226,7 +224,7 @@ void SessionEngine::handle_control(const Message& m) {
       const std::uint32_t permille = r.u32();
       const net::ChannelId channel = r.u32();
       if (Session* s = playable(sid); s && permille > 0) {
-        trace(obs::EventType::kSessionRate, *s, permille);
+        trace(obs::FlightType::kSessionRate, *s, permille);
         s->channel = channel;  // the client renegotiated its QoS reservation
         // Re-anchor the pacing at the new speed, like resume does.
         cancel_timer(*s);
@@ -282,7 +280,7 @@ void SessionEngine::schedule_next(Session& s) {
   cancel_timer(s);
   const PacketSource& src = *s.source;
   if (s.next_packet >= src.packet_count()) {
-    trace(obs::EventType::kSessionEos, s);
+    trace(obs::FlightType::kSessionEos, s);
     // Total packets: lets repair-mode clients NACK trailing losses.
     send_eos(s, src.packet_count());
     return;
@@ -355,7 +353,7 @@ void SessionEngine::resend(std::uint64_t session, std::uint32_t idx,
   if (!s) return;
   ++s->stats.repairs;
   counters_.repairs.inc();
-  trace(obs::EventType::kRepairResend, *s, idx);
+  trace(obs::FlightType::kRepairResend, *s, idx);
   send_packet(*s, bytes, idx);
 }
 

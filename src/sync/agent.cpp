@@ -65,7 +65,7 @@ void SyncAgent::add_peer(net::HostId h, net::Port port) {
 void SyncAgent::start() {
   if (running_) return;
   running_ = true;
-  if (!ctx_.valid()) ctx_ = net_.obs().trace().make_trace();
+  if (!ctx_.valid()) ctx_ = net_.obs().flight().make_trace();
   arm_epoch_timer();
 }
 
@@ -262,11 +262,10 @@ void SyncAgent::send_resync_request(std::uint64_t epoch, const PeerAddr& to) {
   ++stats_.resync_requests;
   m_resync_request_.inc();
 
-  auto& trace = net_.obs().trace();
   if (resync_span_ == 0) {
-    resync_span_ = trace.begin_span(ctx_, "sync.resync", host_,
-                                    static_cast<std::int64_t>(epoch),
-                                    detector_.streak());
+    resync_span_ = net_.obs().flight().begin_span(
+        ctx_, "sync.resync", host_, static_cast<std::int64_t>(epoch),
+        detector_.streak());
   }
 
   net::ByteWriter w;
@@ -334,21 +333,20 @@ void SyncAgent::handle_delta_reply(net::ByteReader& r) {
   stats_.blocks_transferred += res.blocks_applied;
   m_blocks_transferred_.inc(res.blocks_applied);
 
-  auto& trace = net_.obs().trace();
+  auto& flight = net_.obs().flight();
   if (res.ok && res.checksum_match) {
     ++stats_.resync_ok;
     m_resync_ok_.inc();
     detector_.note_resynced();
     if (resync_span_ != 0) {
-      trace.end_span(ctx_, resync_span_, "sync.resync", host_,
-                     static_cast<std::int64_t>(res.blocks_applied),
-                     static_cast<std::int64_t>(res.bytes));
+      flight.end_span(ctx_, resync_span_, "sync.resync", host_,
+                      static_cast<std::int64_t>(res.blocks_applied),
+                      static_cast<std::int64_t>(res.bytes));
       resync_span_ = 0;
     }
     // Journal the heal and dump again: this second journal covers the
     // whole recovery (persistent verdict -> resync span -> delta applied),
     // which is what the storm test asserts end-to-end.
-    auto& flight = net_.obs().flight();
     flight.record(obs::FlightType::kResync, static_cast<std::uint32_t>(host_),
                   epoch, res.blocks_applied);
     flight.trigger_dump("sync.resync_complete");

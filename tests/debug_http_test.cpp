@@ -237,8 +237,8 @@ TEST_F(DebugHttpTest, SessionsAndSyncRoutesAnswerJson) {
 }
 
 TEST_F(DebugHttpTest, TraceRouteServesIndexAndSingleTree) {
-  auto& trace = net_->obs().trace();
-  trace.set_enabled(true);
+  auto& trace = net_->obs().flight();
+  trace.set_tracing(true);
   const obs::TraceContext ctx = trace.make_trace();
   const auto span = trace.begin_span(ctx, "edge.miss_fill", kHost);
   trace.end_span(ctx, span, "edge.miss_fill", kHost);
@@ -266,7 +266,7 @@ TEST_F(DebugHttpTest, FlightRouteServesJournalInDumpFormat) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->status, 200);
   EXPECT_EQ(r->body.find("{\"flight_dump\":{\"reason\":\"live\""), 0u);
-  const auto events = obs::FlightRecorder::parse_jsonl(r->body);
+  const auto events = obs::parse_jsonl(r->body);
   bool saw_miss = false;
   for (const auto& e : events) {
     if (e.type == obs::FlightType::kCacheMiss && e.a == 3) saw_miss = true;

@@ -436,13 +436,62 @@ TEST_F(EdgeFixture, RenderLogMatchesObservedRendersAcrossFailover) {
   }
 }
 
+TEST_F(EdgeFixture, FlightDumpCarriesWholeSpanTrees) {
+  // A dump is the evidence that ships with a failure. With tracing on it
+  // carries the causal trace in the same stream, names included, so the
+  // session's span tree rebuilds from the dump text alone: the same spans,
+  // names and self-times as the tree built from the live journal.
+  sim.obs().flight().set_tracing(true);
+  std::vector<obs::FlightDump> dumps;
+  sim.obs().flight().on_dump(
+      [&dumps](const obs::FlightDump& d) { dumps.push_back(d); });
+  publish("lec", sec(10));
+  ReplicaSelector sel(network, client_host, origin_host, {edge_host});
+  streaming::Player p(network, client_host, player_cfg(5000));
+  p.open_and_play_via(sel, "lec");
+  sim.run_until(SimTime{sec(30).us});
+  ASSERT_TRUE(p.finished());
+  ASSERT_EQ(p.current_server(), edge_host);
+  sim.obs().flight().trigger_dump("test.session_end");
+  ASSERT_EQ(dumps.size(), 1u);
+
+  const auto live = obs::build_span_trees(sim.obs().flight().trace_events());
+  const auto dumped = obs::build_span_trees(obs::parse_jsonl(dumps[0].jsonl));
+  ASSERT_EQ(live.size(), 1u);
+  ASSERT_EQ(dumped.size(), 1u);
+  const obs::SpanTree& want = live[0];
+  const obs::SpanTree& got = dumped[0];
+  ASSERT_TRUE(got.root());
+  EXPECT_EQ(got.root()->name, "player.session");
+  EXPECT_EQ(got.trace_id, want.trace_id);
+  EXPECT_TRUE(got.orphans.empty());
+  ASSERT_EQ(got.nodes.size(), want.nodes.size());
+  bool saw_edge = false, saw_origin = false;
+  for (std::size_t i = 0; i < want.nodes.size(); ++i) {
+    EXPECT_EQ(got.nodes[i].name, want.nodes[i].name) << i;
+    EXPECT_EQ(got.nodes[i].begin, want.nodes[i].begin) << i;
+    EXPECT_EQ(got.nodes[i].end, want.nodes[i].end) << i;
+    saw_edge |= got.nodes[i].name.rfind("edge.", 0) == 0;
+    saw_origin |= got.nodes[i].name.rfind("origin.", 0) == 0;
+  }
+  EXPECT_TRUE(saw_edge);
+  EXPECT_TRUE(saw_origin);
+  const auto want_split = want.decompose();
+  const auto got_split = got.decompose();
+  ASSERT_EQ(got_split.size(), want_split.size());
+  for (std::size_t i = 0; i < want_split.size(); ++i) {
+    EXPECT_EQ(got_split[i].node, want_split[i].node) << i;
+    EXPECT_EQ(got_split[i].self_us, want_split[i].self_us) << i;
+  }
+}
+
 TEST_F(EdgeFixture, FailoverSessionYieldsOneSpanTreeWithoutOrphans) {
   // The tentpole acceptance scenario: edge-relayed playout with a forced
   // mid-session failover must reconstruct into a single span tree per
   // session — every hop's spans (player, edge relay, origin gateway) linked
   // under one root, no orphans — whose startup subtree decomposes into
   // per-hop self-times that sum to the measured startup latency.
-  sim.obs().trace().set_enabled(true);
+  sim.obs().flight().set_tracing(true);
   publish("lec", sec(30));
   ReplicaSelector sel(network, client_host, origin_host, {edge_host});
 
@@ -460,7 +509,7 @@ TEST_F(EdgeFixture, FailoverSessionYieldsOneSpanTreeWithoutOrphans) {
   ASSERT_TRUE(p.finished());
 
   const auto trees =
-      obs::build_span_trees(sim.obs().trace().events());
+      obs::build_span_trees(sim.obs().flight().trace_events());
   ASSERT_EQ(trees.size(), 1u);
   const obs::SpanTree& t = trees[0];
   EXPECT_TRUE(t.orphans.empty());
@@ -473,10 +522,10 @@ TEST_F(EdgeFixture, FailoverSessionYieldsOneSpanTreeWithoutOrphans) {
   // kRenderStart (and the failover machinery) land inside its window.
   std::optional<obs::TimeUs> play_issued, render_start;
   for (const auto& ev : t.points) {
-    if (ev.type == obs::EventType::kPlayIssued && !play_issued) {
+    if (ev.type == obs::FlightType::kPlayIssued && !play_issued) {
       play_issued = ev.t;
     }
-    if (ev.type == obs::EventType::kRenderStart && !render_start) {
+    if (ev.type == obs::FlightType::kRenderStart && !render_start) {
       render_start = ev.t;
     }
   }

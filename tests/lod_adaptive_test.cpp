@@ -171,7 +171,7 @@ TEST_F(AdaptiveFixture, DownshiftKeepsOneSession) {
         wmps, form,
         {"Video 250k DSL/cable", "Video 100k dual-ISDN", "Video 28.8k"});
     ASSERT_TRUE(ladder.ok);
-    s.obs().trace().set_enabled(true);
+    s.obs().flight().set_tracing(true);
 
     AdaptivePlayer::Options opts;
     opts.player.web_server = server;
@@ -213,7 +213,7 @@ TEST_F(AdaptiveFixture, DownshiftKeepsOneSession) {
     }
 
     // One session trace: the reopens stay under the original root.
-    const auto trees = obs::build_span_trees(s.obs().trace().events());
+    const auto trees = obs::build_span_trees(s.obs().flight().trace_events());
     ASSERT_EQ(trees.size(), 1u);
     EXPECT_TRUE(trees[0].orphans.empty());
     ASSERT_TRUE(trees[0].root());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "lod/net/network.hpp"
 #include "lod/net/rng.hpp"
 
@@ -223,6 +225,37 @@ TEST_F(FloorNetFixture, FloorPassesOverTheNetwork) {
   EXPECT_TRUE(spoke);
   ASSERT_EQ(first_heard.size(), 1u);
   EXPECT_EQ(first_heard[0], second + ": my turn");
+}
+
+TEST_F(FloorNetFixture, HostileUserNamesCannotGrowTheJournalsStringTable) {
+  // A hostile client asks for the floor under 100k distinct user names with
+  // tracing on. Every request is denied and journaled with the name it
+  // carried, but the names land in the journal's bounded string table: it
+  // stays at its cap and counts what it refused.
+  auto& journal = sim.obs().flight();
+  journal.set_tracing(true);
+  net::RpcClient hostile(network, s1, 7000);
+  constexpr std::size_t kNames = 100'000;
+  constexpr std::size_t kBatch = 1000;
+  std::size_t denied = 0;
+  for (std::size_t sent = 0; sent < kNames; sent += kBatch) {
+    for (std::size_t i = sent; i < sent + kBatch; ++i) {
+      const std::string name = "mallory-" + std::to_string(i);
+      std::vector<std::byte> body(name.size());
+      std::memcpy(body.data(), name.data(), name.size());
+      hostile.call(teacher, 9000, "/floor/request", std::move(body),
+                   [&denied](net::Result<net::RpcReply> r) {
+                     if (r && r->status == 403) ++denied;
+                   });
+    }
+    sim.run();
+  }
+  EXPECT_EQ(denied, kNames);
+  EXPECT_EQ(sim.obs().metrics().snapshot().counter("lod.floor.denies"),
+            kNames);
+  EXPECT_LE(journal.strings().size(), obs::StringTable::kMaxEntries);
+  EXPECT_GE(journal.strings().overflow(),
+            kNames - obs::StringTable::kMaxEntries);
 }
 
 TEST_F(FloorNetFixture, UnjoinedSpeakerStillGuarded) {

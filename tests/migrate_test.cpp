@@ -114,7 +114,7 @@ struct MigrateFixture : ::testing::Test {
 // --- satellite bugfix 1: live join on a reused player -------------------------
 
 TEST_F(MigrateFixture, JoinLiveAfterVodSessionStartsCleanAndTreesHaveNoOrphans) {
-  sim.obs().trace().set_enabled(true);
+  sim.obs().flight().set_tracing(true);
   publish("lec", sec(8));
   streaming::Player p(network, client_host, player_cfg(5000));
   p.open_and_play(origin_host, "lec");
@@ -153,7 +153,7 @@ TEST_F(MigrateFixture, JoinLiveAfterVodSessionStartsCleanAndTreesHaveNoOrphans) 
   EXPECT_GT(p.units_rendered(), vod_units);  // the live join rendered media
 
   // Two sessions, two trees, each rooted and orphan-free.
-  const auto trees = obs::build_span_trees(sim.obs().trace().events());
+  const auto trees = obs::build_span_trees(sim.obs().flight().trace_events());
   ASSERT_EQ(trees.size(), 2u);
   for (const auto& t : trees) {
     EXPECT_TRUE(t.orphans.empty());
@@ -220,7 +220,7 @@ TEST_F(MigrateFixture, DoubleFailoverStillFinishesOnTheOrigin) {
 TEST_F(MigrateFixture, MigrationHandshakeAdoptsSessionOnWarmReplica) {
   publish("lec", sec(30));
   warm_edge(edge_b_host, "lec");
-  sim.obs().trace().set_enabled(true);
+  sim.obs().flight().set_tracing(true);
 
   // B is the selector's floor (always eligible), A the nearest first pick.
   edge::ReplicaSelector sel(network, client_host, edge_b_host, {edge_a_host});
@@ -252,7 +252,7 @@ TEST_F(MigrateFixture, MigrationHandshakeAdoptsSessionOnWarmReplica) {
   // The adopted session stays inside the ORIGINAL session's trace: one
   // orphan-free tree holding both the failover span and the adopting
   // replica's edge.adopt span.
-  const auto trees = obs::build_span_trees(sim.obs().trace().events());
+  const auto trees = obs::build_span_trees(sim.obs().flight().trace_events());
   ASSERT_EQ(trees.size(), 1u);
   const auto& t = trees[0];
   EXPECT_TRUE(t.orphans.empty());

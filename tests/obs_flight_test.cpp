@@ -1,6 +1,7 @@
 // Unit tests for the flight recorder (lock-free journal, wraparound,
-// concurrent writer/reader behavior, JSONL codec, dump-on-trigger, the
-// span mirror) and for the RollupStore / Snapshot::since window edge cases.
+// concurrent writer/reader behavior, JSONL codec, dump-on-trigger, spans on
+// the trace lane) and for the RollupStore / Snapshot::since window edge
+// cases.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,7 @@ using namespace lod::obs;
 // --- FlightType codec -------------------------------------------------------
 
 TEST(FlightType, NamesRoundTripEveryValue) {
-  for (int i = 0; i <= static_cast<int>(FlightType::kDump); ++i) {
+  for (int i = 0; i <= static_cast<int>(FlightType::kPublish); ++i) {
     const auto t = static_cast<FlightType>(i);
     const auto back = flight_type_from_string(to_string(t));
     ASSERT_TRUE(back.has_value()) << to_string(t);
@@ -33,14 +34,14 @@ TEST(FlightRecorder, RecordsAndReadsBack) {
   FlightRecorder rec;
   rec.record_at(100, FlightType::kSyncVerdict, 7, 42, 2);
   rec.record_at(200, FlightType::kFrameDrop, 3, 9,
-                static_cast<std::uint64_t>(DropCause::kQueue));
+                static_cast<std::int64_t>(DropCause::kQueue));
   const auto evs = rec.events(FlightRecorder::kLaneControl);
   ASSERT_EQ(evs.size(), 2u);
   EXPECT_EQ(evs[0].t, 100);
   EXPECT_EQ(evs[0].type, FlightType::kSyncVerdict);
   EXPECT_EQ(evs[0].actor, 7u);
-  EXPECT_EQ(evs[0].a, 42u);
-  EXPECT_EQ(evs[0].b, 2u);
+  EXPECT_EQ(evs[0].a, 42);
+  EXPECT_EQ(evs[0].b, 2);
   EXPECT_EQ(evs[1].type, FlightType::kFrameDrop);
   EXPECT_EQ(rec.total_recorded(), 2u);
   EXPECT_EQ(rec.dropped(), 0u);
@@ -81,14 +82,14 @@ TEST(FlightRecorder, WraparoundKeepsNewestAndCountsDropped) {
   FlightRecorder rec(cfg);
   ASSERT_EQ(rec.capacity(), 8u);
   for (int i = 0; i < 20; ++i) {
-    rec.record_at(i, FlightType::kSimEvent, 0, static_cast<std::uint64_t>(i));
+    rec.record_at(i, FlightType::kSimEvent, 0, i);
   }
   const auto evs = rec.events(FlightRecorder::kLaneControl);
   // A wrapped ring retains capacity-1 events: the oldest slot is never
   // claimed because an unpublished write at head could be overwriting it.
   ASSERT_EQ(evs.size(), 7u);
   for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(evs[i].a, static_cast<std::uint64_t>(13 + i));
+    EXPECT_EQ(evs[i].a, 13 + i);
   }
   EXPECT_EQ(rec.total_recorded(), 20u);
   EXPECT_EQ(rec.dropped(), 13u);
@@ -106,15 +107,17 @@ TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(rec.events(3).size(), 1u);
 }
 
-// Concurrent writers (one per lane, the single-writer contract) against a
-// reader snapshotting mid-stream. Run under TSan in CI: the slot words are
-// relaxed atomics and the overwrite guard discards torn candidates, so the
+// Concurrent writers (one per lane, the single-writer contract; the third
+// writes the trace lane, interning a detail per event) against a reader
+// snapshotting mid-stream. Run under TSan in CI: the slot words are relaxed
+// atomics and the overwrite guard discards torn candidates, so the
 // race-free property is checkable, not just asserted.
 TEST(FlightRecorder, ConcurrentWritersAndReaderStaySane) {
   FlightRecorder::Config cfg;
   cfg.capacity = 64;
   cfg.lanes = 2;
   FlightRecorder rec(cfg);
+  rec.set_tracing(true);
   constexpr int kPerLane = 20'000;
   std::atomic<bool> go{false};
 
@@ -123,11 +126,18 @@ TEST(FlightRecorder, ConcurrentWritersAndReaderStaySane) {
     }
     for (int i = 0; i < kPerLane; ++i) {
       rec.record_at(i, FlightType::kSimEvent, static_cast<std::uint32_t>(lane),
-                    static_cast<std::uint64_t>(i), 7, lane);
+                    i, 7, lane);
     }
   };
   std::thread w0(writer, FlightRecorder::kLaneControl);
   std::thread w1(writer, FlightRecorder::kLaneDispatch);
+  std::thread w2([&] {
+    while (!go.load()) {
+    }
+    for (int i = 0; i < kPerLane; ++i) {
+      rec.emit(FlightType::kSimEvent, 2, i, 7, i % 2 ? "odd" : "even");
+    }
+  });
   std::thread reader([&] {
     while (!go.load()) {
     }
@@ -135,18 +145,24 @@ TEST(FlightRecorder, ConcurrentWritersAndReaderStaySane) {
       for (const FlightEvent& e : rec.events()) {
         // Every surviving event must be fully formed, never torn garbage.
         ASSERT_EQ(e.type, FlightType::kSimEvent);
-        ASSERT_EQ(e.b, 7u);
-        ASSERT_LT(e.a, static_cast<std::uint64_t>(kPerLane));
+        ASSERT_EQ(e.b, 7);
+        ASSERT_LT(e.a, kPerLane);
+        if (e.lane == rec.lanes()) {
+          ASSERT_EQ(e.detail, e.a % 2 ? "odd" : "even");
+        }
       }
     }
   });
   go.store(true);
   w0.join();
   w1.join();
+  w2.join();
   reader.join();
-  EXPECT_EQ(rec.total_recorded(), 2u * kPerLane);
+  EXPECT_EQ(rec.total_recorded(), 3u * kPerLane);
   // After the writers stop, a clean read sees the full capacity-1 window.
   EXPECT_EQ(rec.events(FlightRecorder::kLaneControl).size(), 63u);
+  EXPECT_EQ(rec.trace_events().size(), FlightRecorder::kTraceCapacity - 1);
+  EXPECT_EQ(rec.strings().size(), 2u);
 }
 
 // --- JSONL codec ------------------------------------------------------------
@@ -157,13 +173,13 @@ TEST(FlightRecorder, JsonlRoundTrips) {
   rec.record_at(6, FlightType::kResync, 1, 99, 3,
                 FlightRecorder::kLaneControl);
   const std::string text = rec.to_jsonl();
-  const auto parsed = FlightRecorder::parse_jsonl(text);
+  const auto parsed = parse_jsonl(text);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].t, 5);
   EXPECT_EQ(parsed[0].type, FlightType::kSyncVerdict);
   EXPECT_EQ(parsed[0].actor, 1u);
-  EXPECT_EQ(parsed[0].a, 99u);
-  EXPECT_EQ(parsed[0].b, 2u);
+  EXPECT_EQ(parsed[0].a, 99);
+  EXPECT_EQ(parsed[0].b, 2);
   EXPECT_EQ(parsed[1].type, FlightType::kResync);
 }
 
@@ -171,13 +187,13 @@ TEST(FlightRecorder, ParseSkipsMetaAndGarbageLines) {
   const std::string text =
       "{\"flight_dump\":{\"reason\":\"slo.x\",\"t\":9}}\n"
       "not json at all\n"
-      "{\"t\":4,\"type\":\"span_begin\"}\n"  // trace-sink schema: no "ft"
+      "{\"t\":4,\"type\":\"span_begin\"}\n"  // retired trace schema: no "ft"
       "{\"t\":4,\"ft\":\"frame_drop\",\"lane\":0,\"actor\":2,\"a\":1,\"b\":4}\n"
       "\n";
-  const auto parsed = FlightRecorder::parse_jsonl(text);
+  const auto parsed = parse_jsonl(text);
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].type, FlightType::kFrameDrop);
-  EXPECT_EQ(parsed[0].b, 4u);
+  EXPECT_EQ(parsed[0].b, 4);
 }
 
 // --- dump-on-trigger --------------------------------------------------------
@@ -192,7 +208,7 @@ TEST(FlightRecorder, TriggerWithoutSinkOnlyCounts) {
   const auto evs = rec.events(FlightRecorder::kLaneControl);
   ASSERT_EQ(evs.size(), 2u);
   EXPECT_EQ(evs[1].type, FlightType::kDump);
-  EXPECT_EQ(evs[1].a, 1u);
+  EXPECT_EQ(evs[1].a, 1);
 }
 
 TEST(FlightRecorder, TriggerWithSinkDeliversRenderedJournal) {
@@ -209,7 +225,7 @@ TEST(FlightRecorder, TriggerWithSinkDeliversRenderedJournal) {
   EXPECT_EQ(got[0].events, 2u);  // the verdict + the kDump marker
   // The JSONL leads with the meta line and parses back to the journal.
   EXPECT_EQ(got[0].jsonl.find("{\"flight_dump\":{\"reason\":"), 0u);
-  const auto parsed = FlightRecorder::parse_jsonl(got[0].jsonl);
+  const auto parsed = parse_jsonl(got[0].jsonl);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].type, FlightType::kSyncVerdict);
   EXPECT_EQ(parsed[1].type, FlightType::kDump);
@@ -218,22 +234,31 @@ TEST(FlightRecorder, TriggerWithSinkDeliversRenderedJournal) {
 
 // --- hub wiring -------------------------------------------------------------
 
-TEST(FlightRecorder, HubMirrorsSpansIntoJournal) {
+TEST(FlightRecorder, HubJournalsSpansWithTheirNames) {
   Hub hub;
   hub.set_clock([] { return TimeUs{123}; });
-  hub.trace().set_enabled(true);
-  const TraceContext ctx = hub.trace().make_trace();
-  const auto span = hub.trace().begin_span(ctx, "sync.resync", 4);
-  hub.trace().end_span(ctx, span, "sync.resync", 4);
+  hub.flight().set_tracing(true);
+  const TraceContext ctx = hub.flight().make_trace();
+  const auto span = hub.flight().begin_span(ctx, "sync.resync", 4);
+  hub.flight().end_span(ctx, span, "sync.resync", 4);
 
-  const auto evs = hub.flight().events(FlightRecorder::kLaneControl);
+  // Spans live on the trace lane, never on the control lane they would
+  // otherwise crowd.
+  EXPECT_TRUE(hub.flight().events(FlightRecorder::kLaneControl).empty());
+  const auto evs = hub.flight().trace_events();
   ASSERT_EQ(evs.size(), 2u);
   EXPECT_EQ(evs[0].type, FlightType::kSpanBegin);
   EXPECT_EQ(evs[0].t, 123);
   EXPECT_EQ(evs[0].actor, 4u);
-  EXPECT_EQ(evs[0].a, span);          // span id
-  EXPECT_EQ(evs[0].b, ctx.trace_id);  // trace id
+  EXPECT_EQ(evs[0].span, span);
+  EXPECT_EQ(evs[0].trace, ctx.trace_id);
+  EXPECT_EQ(evs[0].detail, "sync.resync");
   EXPECT_EQ(evs[1].type, FlightType::kSpanEnd);
+  EXPECT_EQ(evs[1].detail, "sync.resync");
+  // A dump renders them in the journal's one schema, names included.
+  const std::string text = hub.flight().to_jsonl();
+  EXPECT_NE(text.find("\"ft\":\"span_begin\""), std::string::npos);
+  EXPECT_NE(text.find("\"detail\":\"sync.resync\""), std::string::npos);
 }
 
 // --- RollupStore ------------------------------------------------------------
@@ -418,12 +443,12 @@ TEST(DebugPlane, SyncJsonFiltersToSyncSeries) {
 TEST(DebugPlane, TraceJsonIndexAndSingleTree) {
   Hub hub;
   hub.set_clock([] { return TimeUs{50}; });
-  hub.trace().set_enabled(true);
-  const TraceContext ctx = hub.trace().make_trace();
-  const auto span = hub.trace().begin_span(ctx, "player.startup", 1);
-  hub.trace().end_span(ctx, span, "player.startup", 1);
+  hub.flight().set_tracing(true);
+  const TraceContext ctx = hub.flight().make_trace();
+  const auto span = hub.flight().begin_span(ctx, "player.startup", 1);
+  hub.flight().end_span(ctx, span, "player.startup", 1);
 
-  const auto events = hub.trace().events();
+  const auto events = hub.flight().trace_events();
   const std::string index = debug_trace_json(events, 0);
   EXPECT_NE(index.find("\"traces\":["), std::string::npos);
   EXPECT_NE(index.find("\"root\":\"player.startup\""), std::string::npos);
@@ -441,7 +466,7 @@ TEST(DebugPlane, FlightJsonlMatchesDumpFormat) {
   rec.record_at(9, FlightType::kCacheMiss, 2, 31);
   const std::string text = debug_flight_jsonl(rec, 4242);
   EXPECT_EQ(text.find("{\"flight_dump\":{\"reason\":\"live\",\"t\":4242"), 0u);
-  const auto parsed = FlightRecorder::parse_jsonl(text);
+  const auto parsed = parse_jsonl(text);
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].type, FlightType::kCacheMiss);
 }

@@ -1,4 +1,4 @@
-// SLO health monitor: rule evaluation, violation-edge trace events,
+// SLO health monitor: rule evaluation, violation-edge journal records,
 // nullopt-signal verdict holding, per-site health, and the injected-clock
 // periodic driver.
 
@@ -16,7 +16,6 @@ namespace {
 struct HealthFixture : ::testing::Test {
   HealthFixture() : monitor(hub) {
     hub.set_clock([this] { return now; });
-    hub.trace().set_enabled(true);
   }
   TimeUs now{0};
   Hub hub;
@@ -36,11 +35,13 @@ TEST_F(HealthFixture, ViolationEmitsTypedEventOnlyOnTransition) {
     return static_cast<double>(s.gauge("queue.depth", {{"host", "3"}}));
   };
   monitor.add_rule(rule);
+  std::vector<FlightDump> dumps;
+  hub.flight().on_dump([&dumps](const FlightDump& d) { dumps.push_back(d); });
 
   depth.set(5);
   EXPECT_EQ(monitor.evaluate(), 0u);
   EXPECT_TRUE(monitor.healthy());
-  EXPECT_TRUE(hub.trace().events(EventType::kSloViolation).empty());
+  EXPECT_TRUE(hub.flight().events(FlightType::kSloViolation).empty());
 
   now = 1000;
   depth.set(25);
@@ -48,7 +49,7 @@ TEST_F(HealthFixture, ViolationEmitsTypedEventOnlyOnTransition) {
   EXPECT_FALSE(monitor.healthy());
   EXPECT_FALSE(monitor.site_healthy("3"));
   EXPECT_TRUE(monitor.site_healthy("4"));
-  auto viols = hub.trace().events(EventType::kSloViolation);
+  auto viols = hub.flight().events(FlightType::kSloViolation);
   ASSERT_EQ(viols.size(), 1u);
   EXPECT_EQ(viols[0].t, 1000);
   EXPECT_EQ(viols[0].actor, 3u);          // parsed numeric site
@@ -58,10 +59,21 @@ TEST_F(HealthFixture, ViolationEmitsTypedEventOnlyOnTransition) {
   EXPECT_EQ(hub.metrics().snapshot().counter("lod.health.violations",
                                              {{"rule", "queue_depth"}}),
             1u);
+  // The crossing dumped the journal, and the dump's one violation line
+  // names its rule.
+  ASSERT_EQ(dumps.size(), 1u);
+  EXPECT_EQ(dumps[0].reason, "slo.queue_depth");
+  std::vector<FlightEvent> dumped;
+  for (FlightEvent& e : parse_jsonl(dumps[0].jsonl)) {
+    if (e.type == FlightType::kSloViolation) dumped.push_back(std::move(e));
+  }
+  ASSERT_EQ(dumped.size(), 1u);
+  EXPECT_EQ(dumped[0].detail, "queue_depth");
+  EXPECT_EQ(dumped[0].a, 25'000);
 
   // Still in violation: no second event, but still counted as violated.
   EXPECT_EQ(monitor.evaluate(), 1u);
-  EXPECT_EQ(hub.trace().events(EventType::kSloViolation).size(), 1u);
+  EXPECT_EQ(hub.flight().events(FlightType::kSloViolation).size(), 1u);
 
   // Recovery, then a fresh breach: a second edge, a second event.
   depth.set(2);
@@ -69,7 +81,7 @@ TEST_F(HealthFixture, ViolationEmitsTypedEventOnlyOnTransition) {
   EXPECT_TRUE(monitor.site_healthy("3"));
   depth.set(50);
   EXPECT_EQ(monitor.evaluate(), 1u);
-  EXPECT_EQ(hub.trace().events(EventType::kSloViolation).size(), 2u);
+  EXPECT_EQ(hub.flight().events(FlightType::kSloViolation).size(), 2u);
 }
 
 TEST_F(HealthFixture, NoSignalHoldsPreviousVerdict) {
@@ -160,7 +172,7 @@ TEST_F(HealthFixture, PeriodicEvaluationRunsOnInjectedScheduler) {
   EXPECT_FALSE(monitor.healthy());
   EXPECT_EQ(monitor.health().statuses[0].last_eval, 3000);
   // One edge, despite three periodic evaluations in violation.
-  EXPECT_EQ(hub.trace().events(EventType::kSloViolation).size(), 1u);
+  EXPECT_EQ(hub.flight().events(FlightType::kSloViolation).size(), 1u);
 
   monitor.stop_periodic();
   const std::size_t left = queue.size();

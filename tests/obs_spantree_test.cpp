@@ -1,41 +1,41 @@
-// Causal tracing: TraceContext minting/propagation on the sink, and the
+// Causal tracing: TraceContext minting/propagation on the journal, and the
 // SpanTree reconstructor (parent links, orphans, unclosed-span clamping,
 // self-time decomposition, critical path).
 
 #include <gtest/gtest.h>
 
+#include "lod/obs/flight.hpp"
 #include "lod/obs/spantree.hpp"
-#include "lod/obs/trace.hpp"
 
 using namespace lod::obs;
 
 namespace {
 
-TraceSink make_sink(TimeUs* now) {
-  TraceSink sink;
-  sink.set_enabled(true);
-  sink.set_clock([now] { return *now; });
-  return sink;
+/// Tracing on, stamped from \p now.
+void trace_on(FlightRecorder& journal, TimeUs* now) {
+  journal.set_tracing(true);
+  journal.set_clock([now] { return *now; });
 }
 
 }  // namespace
 
 TEST(TraceContext, DisabledSinkMintsInvalidAndSpansNoOp) {
-  TraceSink sink;  // disabled
+  FlightRecorder sink;  // tracing off
   const TraceContext ctx = sink.make_trace();
   EXPECT_FALSE(ctx.valid());
   EXPECT_EQ(sink.begin_span(ctx, "x"), 0u);
   sink.end_span(ctx, 0, "x");
-  sink.emit_in(ctx, EventType::kRenderStart);
-  EXPECT_EQ(sink.size(), 0u);
-  // Valid-looking context against a disabled sink: still silent.
+  sink.emit_in(ctx, FlightType::kRenderStart);
+  EXPECT_EQ(sink.total_recorded(), 0u);
+  // Valid-looking context with tracing off: still silent.
   EXPECT_EQ(sink.begin_span(TraceContext{7, 0}, "x"), 0u);
-  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(sink.total_recorded(), 0u);
 }
 
 TEST(TraceContext, SpanEventsCarryCausalCoordinates) {
   TimeUs now = 100;
-  TraceSink sink = make_sink(&now);
+  FlightRecorder sink;
+  trace_on(sink, &now);
   const TraceContext root = sink.make_trace();
   ASSERT_TRUE(root.valid());
   EXPECT_EQ(root.parent_span_id, 0u);
@@ -45,20 +45,20 @@ TEST(TraceContext, SpanEventsCarryCausalCoordinates) {
   const TraceContext inner_ctx = root.child(outer);
   const std::uint64_t inner = sink.begin_span(inner_ctx, "inner");
   now = 300;
-  sink.emit_in(inner_ctx.child(inner), EventType::kRenderStart, 9);
+  sink.emit_in(inner_ctx.child(inner), FlightType::kRenderStart, 9);
   sink.end_span(inner_ctx, inner, "inner");
   now = 400;
   sink.end_span(root, outer, "outer", 9);
 
-  const auto evs = sink.events();
+  const auto evs = sink.trace_events();
   ASSERT_EQ(evs.size(), 5u);
-  EXPECT_EQ(evs[0].type, EventType::kSpanBegin);
+  EXPECT_EQ(evs[0].type, FlightType::kSpanBegin);
   EXPECT_EQ(evs[0].trace, root.trace_id);
   EXPECT_EQ(evs[0].span, outer);
   EXPECT_EQ(evs[0].parent, 0u);
   EXPECT_EQ(evs[1].span, inner);
   EXPECT_EQ(evs[1].parent, outer);
-  EXPECT_EQ(evs[2].type, EventType::kRenderStart);
+  EXPECT_EQ(evs[2].type, FlightType::kRenderStart);
   EXPECT_EQ(evs[2].trace, root.trace_id);
   EXPECT_EQ(evs[2].parent, inner);
   // Ids are distinct and from one counter.
@@ -68,12 +68,13 @@ TEST(TraceContext, SpanEventsCarryCausalCoordinates) {
 
 TEST(TraceContext, CausalCoordinatesSurviveJsonl) {
   TimeUs now = 1;
-  TraceSink sink = make_sink(&now);
+  FlightRecorder sink;
+  trace_on(sink, &now);
   const TraceContext root = sink.make_trace();
   const std::uint64_t sp = sink.begin_span(root, "s");
   sink.end_span(root, sp, "s");
-  sink.emit(EventType::kPublish);  // untraced: no trace/span fields emitted
-  const auto parsed = TraceSink::parse_jsonl(sink.to_jsonl());
+  sink.emit(FlightType::kPublish);  // untraced: no trace/span fields emitted
+  const auto parsed = parse_jsonl(sink.to_jsonl());
   ASSERT_EQ(parsed.size(), 3u);
   EXPECT_EQ(parsed[0].trace, root.trace_id);
   EXPECT_EQ(parsed[0].span, sp);
@@ -85,22 +86,23 @@ TEST(TraceContext, CausalCoordinatesSurviveJsonl) {
 
 TEST(SpanTree, BuildsParentLinksOrphansAndPoints) {
   TimeUs now = 0;
-  TraceSink sink = make_sink(&now);
+  FlightRecorder sink;
+  trace_on(sink, &now);
   const TraceContext root = sink.make_trace();
   const std::uint64_t a = sink.begin_span(root, "a");
   now = 10;
   const std::uint64_t b = sink.begin_span(root.child(a), "b");
   now = 20;
-  sink.emit_in(root.child(b), EventType::kStall, 5);
+  sink.emit_in(root.child(b), FlightType::kStall, 5);
   now = 30;
   sink.end_span(root.child(a), b, "b");
   now = 40;
   sink.end_span(root, a, "a");
   // An orphan: parent id never seen in the stream.
-  TraceEvent orphan;
-  std::vector<TraceEvent> evs = sink.events();
+  FlightEvent orphan;
+  std::vector<FlightEvent> evs = sink.trace_events();
   orphan.t = 15;
-  orphan.type = EventType::kSpanBegin;
+  orphan.type = FlightType::kSpanBegin;
   orphan.trace = root.trace_id;
   orphan.span = 9999;
   orphan.parent = 8888;
@@ -121,19 +123,19 @@ TEST(SpanTree, BuildsParentLinksOrphansAndPoints) {
   ASSERT_EQ(t.root()->children.size(), 1u);
   EXPECT_EQ(t.nodes[t.root()->children[0]].name, "b");
   ASSERT_EQ(t.points.size(), 1u);
-  EXPECT_EQ(t.points[0].type, EventType::kStall);
+  EXPECT_EQ(t.points[0].type, FlightType::kStall);
 }
 
 TEST(SpanTree, UnclosedSpansClampToLastEventTime) {
-  std::vector<TraceEvent> evs;
-  TraceEvent e;
-  e.type = EventType::kSpanBegin;
+  std::vector<FlightEvent> evs;
+  FlightEvent e;
+  e.type = FlightType::kSpanBegin;
   e.trace = 1;
   e.span = 2;
   e.t = 100;
   e.detail = "open";
   evs.push_back(e);
-  e.type = EventType::kRenderStart;
+  e.type = FlightType::kRenderStart;
   e.span = 0;
   e.t = 900;
   evs.push_back(e);
@@ -148,17 +150,17 @@ TEST(SpanTree, UnclosedSpansClampToLastEventTime) {
 namespace {
 
 /// begin/end pair helper for decomposition fixtures.
-void span(std::vector<TraceEvent>& evs, std::uint64_t trace, std::uint64_t id,
+void span(std::vector<FlightEvent>& evs, std::uint64_t trace, std::uint64_t id,
           std::uint64_t parent, TimeUs begin, TimeUs end, std::string name) {
-  TraceEvent e;
+  FlightEvent e;
   e.trace = trace;
   e.span = id;
   e.parent = parent;
   e.detail = std::move(name);
-  e.type = EventType::kSpanBegin;
+  e.type = FlightType::kSpanBegin;
   e.t = begin;
   evs.push_back(e);
-  e.type = EventType::kSpanEnd;
+  e.type = FlightType::kSpanEnd;
   e.t = end;
   evs.push_back(e);
 }
@@ -166,7 +168,7 @@ void span(std::vector<TraceEvent>& evs, std::uint64_t trace, std::uint64_t id,
 }  // namespace
 
 TEST(SpanTree, DecomposeChargesDeepestSpanAndSumsExactly) {
-  std::vector<TraceEvent> evs;
+  std::vector<FlightEvent> evs;
   span(evs, 1, 10, 0, 0, 100, "root");
   span(evs, 1, 11, 10, 10, 60, "child");      // 50us window
   span(evs, 1, 12, 11, 20, 40, "grandchild"); // 20us inside child
@@ -197,7 +199,7 @@ TEST(SpanTree, DecomposeChargesDeepestSpanAndSumsExactly) {
 }
 
 TEST(SpanTree, DecomposeSubtreeSumsToThatSpansDuration) {
-  std::vector<TraceEvent> evs;
+  std::vector<FlightEvent> evs;
   span(evs, 1, 10, 0, 0, 100, "root");
   span(evs, 1, 11, 10, 20, 80, "startup");
   span(evs, 1, 12, 11, 30, 50, "fill");
@@ -220,7 +222,7 @@ TEST(SpanTree, DecomposeSubtreeSumsToThatSpansDuration) {
 }
 
 TEST(SpanTree, CriticalPathFollowsLatestEndingChild) {
-  std::vector<TraceEvent> evs;
+  std::vector<FlightEvent> evs;
   span(evs, 1, 10, 0, 0, 100, "root");
   span(evs, 1, 11, 10, 0, 30, "fast");
   span(evs, 1, 12, 10, 10, 90, "slow");
@@ -236,12 +238,14 @@ TEST(SpanTree, CriticalPathFollowsLatestEndingChild) {
 }
 
 TEST(SpanTree, MergesEventsFromDistinctlySeededSinks) {
-  // Two sinks (two hosts), one logical trace: the second sink never mints,
+  // Two journals (two hosts), one logical trace: the second never mints,
   // it only continues contexts handed to it — ids must not collide, which
   // is what distinct seeds guarantee.
   TimeUs now = 0;
-  TraceSink player = make_sink(&now);
-  TraceSink edge = make_sink(&now);
+  FlightRecorder player;
+  FlightRecorder edge;
+  trace_on(player, &now);
+  trace_on(edge, &now);
   player.set_id_seed(1ull << 32);
   edge.set_id_seed(2ull << 32);
   const TraceContext root = player.make_trace();
@@ -255,7 +259,7 @@ TEST(SpanTree, MergesEventsFromDistinctlySeededSinks) {
   player.end_span(root, session, "player.session");
 
   const std::string merged = player.to_jsonl() + edge.to_jsonl();
-  const auto trees = build_span_trees(TraceSink::parse_jsonl(merged));
+  const auto trees = build_span_trees(parse_jsonl(merged));
   ASSERT_EQ(trees.size(), 1u);
   const SpanTree& t = trees[0];
   EXPECT_EQ(t.nodes.size(), 2u);
@@ -267,7 +271,7 @@ TEST(SpanTree, MergesEventsFromDistinctlySeededSinks) {
 }
 
 TEST(SpanTree, FormatRendersTimelineWithSelfTimes) {
-  std::vector<TraceEvent> evs;
+  std::vector<FlightEvent> evs;
   span(evs, 7, 10, 0, 0, 2000, "player.session");
   span(evs, 7, 11, 10, 500, 1500, "player.startup");
   const auto trees = build_span_trees(evs);

@@ -1,15 +1,16 @@
 // Unit tests for the observability layer: the metrics registry (handles,
-// labels, snapshots/diffs) and the trace sink (ring buffer, JSONL, spans).
+// labels, snapshots/diffs) and tracing on the event journal (trace lane,
+// string table, JSONL, span helpers).
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <stdexcept>
 
+#include "lod/obs/flight.hpp"
 #include "lod/obs/hub.hpp"
 #include "lod/obs/json.hpp"
 #include "lod/obs/metrics.hpp"
-#include "lod/obs/trace.hpp"
 
 using namespace lod::obs;
 
@@ -214,26 +215,30 @@ TEST(Metrics, MergedHistogramAcrossLabels) {
 }
 
 // --- trace ------------------------------------------------------------------------
+// Tracing is the journal's trace lane: off by default, stamped by the
+// journal's clock, and rendered in the journal's one JSONL schema.
 
 TEST(Trace, DisabledSinkRecordsNothing) {
-  TraceSink sink;
-  EXPECT_FALSE(sink.enabled());
-  sink.emit(EventType::kStall, 1, 2, 3, "x");
-  EXPECT_EQ(sink.size(), 0u);
-  EXPECT_EQ(sink.total_emitted(), 0u);
+  FlightRecorder journal;
+  EXPECT_FALSE(journal.tracing());
+  journal.emit(FlightType::kStall, 1, 2, 3, "x");
+  EXPECT_TRUE(journal.trace_events().empty());
+  EXPECT_EQ(journal.total_recorded(), 0u);
+  EXPECT_EQ(journal.strings().size(), 0u);  // nothing interned either
 }
 
 TEST(Trace, EmitStampsWithInstalledClock) {
-  TraceSink sink;
-  sink.set_enabled(true);
+  FlightRecorder journal;
+  journal.set_tracing(true);
   TimeUs now = 0;
-  sink.set_clock([&now] { return now; });
+  journal.set_clock([&now] { return now; });
   now = 42;
-  sink.emit(EventType::kSessionOpen, 7, 1, 2, "lec");
-  const auto evs = sink.events();
+  journal.emit(FlightType::kSessionOpen, 7, 1, 2, "lec");
+  const auto evs = journal.trace_events();
   ASSERT_EQ(evs.size(), 1u);
   EXPECT_EQ(evs[0].t, 42);
-  EXPECT_EQ(evs[0].type, EventType::kSessionOpen);
+  EXPECT_EQ(evs[0].type, FlightType::kSessionOpen);
+  EXPECT_EQ(evs[0].lane, journal.lanes());  // one past the writer lanes
   EXPECT_EQ(evs[0].actor, 7u);
   EXPECT_EQ(evs[0].a, 1);
   EXPECT_EQ(evs[0].b, 2);
@@ -241,70 +246,79 @@ TEST(Trace, EmitStampsWithInstalledClock) {
 }
 
 TEST(Trace, RingWrapsAndCountsDropped) {
-  TraceSink sink(4);
-  sink.set_enabled(true);
-  for (std::int64_t i = 0; i < 10; ++i) {
-    sink.emit(EventType::kPacketSend, 0, i);
+  FlightRecorder journal;
+  journal.set_tracing(true);
+  constexpr std::size_t kCap = FlightRecorder::kTraceCapacity;
+  for (std::size_t i = 0; i < kCap + 6; ++i) {
+    journal.emit(FlightType::kPacketSend, 0, static_cast<std::int64_t>(i));
   }
-  EXPECT_EQ(sink.size(), 4u);
-  EXPECT_EQ(sink.capacity(), 4u);
-  EXPECT_EQ(sink.dropped(), 6u);
-  EXPECT_EQ(sink.total_emitted(), 10u);
-  const auto evs = sink.events();
-  ASSERT_EQ(evs.size(), 4u);
-  // Oldest first, and the survivors are the most recent four.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(evs[i].a, static_cast<std::int64_t>(6 + i));
+  // Like every lane, a wrapped trace lane keeps capacity-1 events.
+  const auto evs = journal.trace_events();
+  ASSERT_EQ(evs.size(), kCap - 1);
+  EXPECT_EQ(journal.dropped(), 7u);
+  EXPECT_EQ(journal.total_recorded(), kCap + 6);
+  // Oldest first, and the survivors are the most recent ones.
+  for (std::size_t i = 0; i < evs.size(); ++i) {
+    EXPECT_EQ(evs[i].a, static_cast<std::int64_t>(7 + i));
   }
-  sink.clear();
-  EXPECT_EQ(sink.size(), 0u);
-  EXPECT_EQ(sink.dropped(), 0u);
 }
 
 TEST(Trace, EventsFilterByType) {
-  TraceSink sink;
-  sink.set_enabled(true);
-  sink.emit(EventType::kFloorRequest, 0, 0, 0, "alice");
-  sink.emit(EventType::kFloorGrant, 0, 0, 0, "alice");
-  sink.emit(EventType::kFloorRequest, 0, 0, 0, "bob");
-  const auto reqs = sink.events(EventType::kFloorRequest);
+  FlightRecorder journal;
+  journal.set_tracing(true);
+  journal.emit(FlightType::kFloorRequest, 0, 0, 0, "alice");
+  journal.emit(FlightType::kFloorGrant, 0, 0, 0, "alice");
+  journal.emit(FlightType::kFloorRequest, 0, 0, 0, "bob");
+  const auto reqs = journal.events(FlightType::kFloorRequest);
   ASSERT_EQ(reqs.size(), 2u);
   EXPECT_EQ(reqs[0].detail, "alice");
   EXPECT_EQ(reqs[1].detail, "bob");
 }
 
 TEST(Trace, EveryEventTypeNameRoundTrips) {
-  for (int i = 0; i <= static_cast<int>(EventType::kSloViolation); ++i) {
-    const auto t = static_cast<EventType>(i);
-    const auto name = to_string(t);
-    EXPECT_NE(name, "unknown") << i;
-    const auto back = event_type_from_string(name);
-    ASSERT_TRUE(back.has_value()) << name;
-    EXPECT_EQ(*back, t) << name;
+  // Every name the retired trace-sink schema wrote still parses to the
+  // journal type that replaced it: folding the enums renamed nothing.
+  const std::vector<std::string_view> names = {
+      "packet_send",    "packet_recv",   "packet_drop_loss",
+      "packet_drop_queue", "msg_retransmit", "session_open",
+      "session_pause",  "session_resume", "session_seek",
+      "session_rate",   "session_stop",  "session_eos",
+      "play_issued",    "render_start",  "stall",
+      "slide_fetch",    "slide_show",    "annotation",
+      "repair_request", "repair_resend", "clock_sync",
+      "floor_request",  "floor_grant",   "floor_deny",
+      "floor_release",  "transition_fire", "publish",
+      "span_begin",     "span_end",      "slo_violation",
+  };
+  for (const std::string_view name : names) {
+    const auto t = flight_type_from_string(name);
+    ASSERT_TRUE(t.has_value()) << name;
+    EXPECT_EQ(to_string(*t), name);
   }
-  EXPECT_FALSE(event_type_from_string("no_such_event").has_value());
+  EXPECT_FALSE(flight_type_from_string("no_such_event").has_value());
 }
 
 TEST(Trace, JsonlRoundTripsIncludingEscapes) {
-  TraceSink sink;
-  sink.set_enabled(true);
+  FlightRecorder journal;
+  journal.set_tracing(true);
   TimeUs now = 1'000'000;
-  sink.set_clock([&now] { return now; });
-  sink.emit(EventType::kPublish, 3, -7, 9, "a \"quoted\"\npath\\with\ttabs");
-  sink.emit(EventType::kTransitionFire, 12, 34);
-  const std::string text = sink.to_jsonl();
-  const auto parsed = TraceSink::parse_jsonl(text);
+  journal.set_clock([&now] { return now; });
+  journal.emit(FlightType::kPublish, 3, -7, 9,
+               "a \"quoted\"\npath\\with\ttabs");
+  journal.emit(FlightType::kTransitionFire, 12, 34);
+  const std::string text = journal.to_jsonl();
+  const auto parsed = parse_jsonl(text);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].t, 1'000'000);
-  EXPECT_EQ(parsed[0].type, EventType::kPublish);
+  EXPECT_EQ(parsed[0].type, FlightType::kPublish);
   EXPECT_EQ(parsed[0].actor, 3u);
   EXPECT_EQ(parsed[0].a, -7);
   EXPECT_EQ(parsed[0].b, 9);
   EXPECT_EQ(parsed[0].detail, "a \"quoted\"\npath\\with\ttabs");
-  EXPECT_EQ(parsed[1].type, EventType::kTransitionFire);
+  EXPECT_EQ(parsed[1].type, FlightType::kTransitionFire);
   EXPECT_EQ(parsed[1].actor, 12u);
   // Garbage lines are skipped, valid ones kept.
-  const auto mixed = TraceSink::parse_jsonl("not json\n" + text + "\n{}\n");
+  const auto mixed = parse_jsonl("not json\n" + text + "\n{}\n");
   EXPECT_EQ(mixed.size(), 2u);
 }
 
@@ -319,28 +333,55 @@ TEST(Trace, JsonlRoundTripsHostileContent) {
       std::string("embedded\x00null", 13),
       "\b\f\n\r\t",
       "plain",
+      "\",\"ft\":\"dump\",\"a\":1",  // a forged field inside the text
   };
-  TraceSink sink;
-  sink.set_enabled(true);
+  FlightRecorder journal;
+  journal.set_tracing(true);
   for (const std::string& s : hostile) {
-    sink.emit(EventType::kPublish, 1, 2, 3, s);
+    journal.emit(FlightType::kPublish, 1, 2, 3, s);
   }
-  const auto parsed = TraceSink::parse_jsonl(sink.to_jsonl());
+  const auto parsed = parse_jsonl(journal.to_jsonl());
   ASSERT_EQ(parsed.size(), hostile.size());
   for (std::size_t i = 0; i < hostile.size(); ++i) {
+    EXPECT_EQ(parsed[i].type, FlightType::kPublish) << i;
+    EXPECT_EQ(parsed[i].a, 2) << i;
     EXPECT_EQ(parsed[i].detail, hostile[i]) << i;
   }
   // The exported text may not leak raw control bytes (they'd make the line
   // invalid JSON); everything below 0x20 must have been \u00XX-escaped.
-  for (const char c : sink.to_jsonl()) {
+  for (const char c : journal.to_jsonl()) {
     EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
         << static_cast<int>(c);
   }
 }
 
+TEST(Trace, StringTableIsBounded) {
+  StringTable table;
+  EXPECT_EQ(table.intern(""), 0u);  // no text, no entry
+  const std::uint32_t first = table.intern("player.session");
+  EXPECT_EQ(table.intern("player.session"), first);  // interned once
+  for (std::size_t i = 0; table.size() < StringTable::kMaxEntries; ++i) {
+    ASSERT_NE(table.intern("user" + std::to_string(i)), 0u);
+  }
+  // Full: new text is refused and counted; known text still resolves.
+  EXPECT_EQ(table.intern("one too many"), 0u);
+  EXPECT_EQ(table.overflow(), 1u);
+  EXPECT_EQ(table.size(), StringTable::kMaxEntries);
+  EXPECT_EQ(table.intern("player.session"), first);
+  EXPECT_EQ(table.lookup(first), "player.session");
+  EXPECT_EQ(table.lookup(0), "");
+
+  // The byte cap binds before the entry cap for long text.
+  StringTable bytes;
+  const std::string big(StringTable::kMaxBytes / 2 + 1, 'x');
+  EXPECT_NE(bytes.intern(big), 0u);
+  EXPECT_EQ(bytes.intern(big + "y"), 0u);
+  EXPECT_EQ(bytes.overflow(), 1u);
+}
+
 namespace {
-TraceEvent ev(TimeUs t, EventType type, std::uint64_t actor = 0) {
-  TraceEvent e;
+FlightEvent ev(TimeUs t, FlightType type, std::uint32_t actor = 0) {
+  FlightEvent e;
   e.t = t;
   e.type = type;
   e.actor = actor;
@@ -349,35 +390,35 @@ TraceEvent ev(TimeUs t, EventType type, std::uint64_t actor = 0) {
 }  // namespace
 
 TEST(Trace, SpanHelpers) {
-  const std::vector<TraceEvent> evs = {
-      ev(10, EventType::kPublish, 1),
-      ev(25, EventType::kRenderStart, 2),
-      ev(40, EventType::kSessionSeek, 2),
-      ev(47, EventType::kRenderStart, 2),
-      ev(60, EventType::kSessionSeek, 2),   // restarted below: latest wins
-      ev(70, EventType::kSessionSeek, 2),
-      ev(75, EventType::kRenderStart, 2),
+  const std::vector<FlightEvent> evs = {
+      ev(10, FlightType::kPublish, 1),
+      ev(25, FlightType::kRenderStart, 2),
+      ev(40, FlightType::kSessionSeek, 2),
+      ev(47, FlightType::kRenderStart, 2),
+      ev(60, FlightType::kSessionSeek, 2),   // restarted below: latest wins
+      ev(70, FlightType::kSessionSeek, 2),
+      ev(75, FlightType::kRenderStart, 2),
   };
-  const auto first = first_event(evs, EventType::kRenderStart);
+  const auto first = first_event(evs, FlightType::kRenderStart);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->t, 25);
-  EXPECT_FALSE(first_event(evs, EventType::kRenderStart, 9).has_value());
+  EXPECT_FALSE(first_event(evs, FlightType::kRenderStart, 9).has_value());
 
   // publish -> first frame.
   const auto preroll =
-      span_between(evs, EventType::kPublish, EventType::kRenderStart);
+      span_between(evs, FlightType::kPublish, FlightType::kRenderStart);
   ASSERT_TRUE(preroll.has_value());
   EXPECT_EQ(*preroll, 15);
 
   // Every seek -> resume; the back-to-back seek at t=60 is superseded at 70.
-  const auto seeks =
-      span_latencies(evs, EventType::kSessionSeek, EventType::kRenderStart, 2);
+  const auto seeks = span_latencies(evs, FlightType::kSessionSeek,
+                                    FlightType::kRenderStart, 2);
   ASSERT_EQ(seeks.size(), 2u);
   EXPECT_EQ(seeks[0], 7);
   EXPECT_EQ(seeks[1], 5);
 
-  EXPECT_FALSE(
-      span_between(evs, EventType::kStall, EventType::kRenderStart).has_value());
+  EXPECT_FALSE(span_between(evs, FlightType::kStall, FlightType::kRenderStart)
+                   .has_value());
 }
 
 // --- hub --------------------------------------------------------------------------
@@ -388,10 +429,10 @@ TEST(Hub, SharesClockBetweenMetricsAndTrace) {
   hub.set_clock([&now] { return now; });
   now = 123;
   EXPECT_EQ(hub.now_us(), 123);
-  hub.trace().set_enabled(true);
-  hub.trace().emit(EventType::kSpanBegin);
-  ASSERT_EQ(hub.trace().events().size(), 1u);
-  EXPECT_EQ(hub.trace().events()[0].t, 123);
+  hub.flight().set_tracing(true);
+  hub.flight().emit(FlightType::kSpanBegin);
+  ASSERT_EQ(hub.flight().trace_events().size(), 1u);
+  EXPECT_EQ(hub.flight().trace_events()[0].t, 123);
 
   hub.metrics().counter("lod.test.n").inc(2);
   EXPECT_EQ(hub.snapshot().counter("lod.test.n"), 2u);

@@ -198,7 +198,7 @@ TEST(RealLoopbackSoak, FullLectureThroughEdgeOverKernelSockets) {
       << net::to_string(debug_flight.error());
   EXPECT_EQ(debug_flight->status, 200);
   EXPECT_EQ(debug_flight->body.find("{\"flight_dump\":"), 0u);
-  EXPECT_FALSE(obs::FlightRecorder::parse_jsonl(debug_flight->body).empty())
+  EXPECT_FALSE(obs::parse_jsonl(debug_flight->body).empty())
       << "flight journal empty mid-playout";
 
   // Persist the scraped journal so CI can upload it next to the bench

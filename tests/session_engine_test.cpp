@@ -408,7 +408,7 @@ TEST_F(OriginFixture, DestroyingTheServerMidSessionCancelsItsTimers) {
 }
 
 TEST_F(OriginFixture, VerbsOnAStoppedSessionAreIgnored) {
-  sim.obs().trace().set_enabled(true);
+  sim.obs().flight().set_tracing(true);
   server->publish("lec", lecture(sec(10)));
   RawClient c(network, client_host, server_host, 6000);
   c.play("lec");
@@ -427,11 +427,11 @@ TEST_F(OriginFixture, VerbsOnAStoppedSessionAreIgnored) {
   c.repair({1, 2});
   sim.run_until(SimTime{sec(5).us});
 
-  const auto& trace = sim.obs().trace();
+  const auto& trace = sim.obs().flight();
   for (auto type :
-       {obs::EventType::kSessionPause, obs::EventType::kSessionSeek,
-        obs::EventType::kSessionRate, obs::EventType::kSessionResume,
-        obs::EventType::kRepairResend}) {
+       {obs::FlightType::kSessionPause, obs::FlightType::kSessionSeek,
+        obs::FlightType::kSessionRate, obs::FlightType::kSessionResume,
+        obs::FlightType::kRepairResend}) {
     EXPECT_TRUE(trace.events(type).empty());
   }
   EXPECT_EQ(server->metrics().repairs(), repairs);
@@ -454,7 +454,7 @@ TEST(SessionEngineTimer, StopAtTheInstantThePacerIsDueMeansItNeverFires) {
   network.add_link(server_host, client_host, fast);
   StreamingServer server(network, server_host);
   server.publish("lec", lecture(sec(4)));
-  sim.obs().trace().set_enabled(true);
+  sim.obs().flight().set_tracing(true);
 
   RawClient c(network, client_host, server_host, 6000);
   c.play("lec");
@@ -462,9 +462,9 @@ TEST(SessionEngineTimer, StopAtTheInstantThePacerIsDueMeansItNeverFires) {
   c.send(c.verb(Ctl::kStop));
   sim.run_until(SimTime{sec(2).us});
 
-  const auto& trace = sim.obs().trace();
-  const auto opened = trace.events(obs::EventType::kSessionOpen);
-  const auto stopped = trace.events(obs::EventType::kSessionStop);
+  const auto& trace = sim.obs().flight();
+  const auto opened = trace.events(obs::FlightType::kSessionOpen);
+  const auto stopped = trace.events(obs::FlightType::kSessionStop);
   ASSERT_EQ(opened.size(), 1u);
   ASSERT_EQ(stopped.size(), 1u);
   EXPECT_EQ(opened[0].t, stopped[0].t);

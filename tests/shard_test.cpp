@@ -91,17 +91,17 @@ TEST(ShardedRunner, EventsFiredAndEndTimeCaptured) {
 TEST(ShardedRunner, TraceCollationOrdersByTimeWithDistinctIdRanges) {
   ShardedRunner runner(2, 1, /*enable_trace=*/true);
   const auto r = runner.run([](ShardEnv& env) {
-    auto& sink = env.sim.obs().trace();
+    auto& journal = env.sim.obs().flight();
     // Shard 0 emits at 2ms and 4ms, shard 1 at 1ms and 3ms: the merged
     // timeline must interleave them by time.
     const auto base = msec(env.shard == 0 ? 2 : 1);
-    env.sim.schedule_after(base, [&sink, &env] {
-      sink.emit(obs::EventType::kSpanBegin, env.shard);
+    env.sim.schedule_after(base, [&journal, &env] {
+      journal.emit(obs::FlightType::kSpanBegin, env.shard);
     });
-    env.sim.schedule_after(base + msec(2), [&sink, &env] {
-      sink.emit(obs::EventType::kSpanEnd, env.shard);
+    env.sim.schedule_after(base + msec(2), [&journal, &env] {
+      journal.emit(obs::FlightType::kSpanEnd, env.shard);
     });
-    const auto ctx = sink.make_trace();
+    const auto ctx = journal.make_trace();
     EXPECT_GE(ctx.trace_id, (static_cast<std::uint64_t>(env.shard) + 1) << 32);
     EXPECT_LT(ctx.trace_id, (static_cast<std::uint64_t>(env.shard) + 2) << 32);
     env.sim.run_until(SimTime{sec(1).us});

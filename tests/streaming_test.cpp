@@ -610,7 +610,7 @@ TEST_F(StreamFixture, EtpnRatePathIsExactToTheMicrosecond) {
 // kSetRate frame carries and renders at exactly that, and a rate that rounds
 // to 0 or overflows the frame changes nothing anywhere.
 TEST_F(StreamFixture, EtpnRateIsQuantizedOnceForBothEnds) {
-  sim.obs().trace().set_enabled(true);
+  sim.obs().flight().set_tracing(true);
   const auto enc = encode(sec(10), default_job());
   server->publish("lec", enc.file);
   Player p(network, client_host, player_cfg(SyncModel::kEtpn));
@@ -626,7 +626,7 @@ TEST_F(StreamFixture, EtpnRateIsQuantizedOnceForBothEnds) {
   EXPECT_EQ(p.interactions().size(), 1u);
   sim.run_until(SimTime{sec(4).us});
   // Player and server each traced one rate change, both at 333 permille.
-  const auto rates = sim.obs().trace().events(obs::EventType::kSessionRate);
+  const auto rates = sim.obs().flight().events(obs::FlightType::kSessionRate);
   ASSERT_EQ(rates.size(), 2u);
   for (const auto& e : rates) EXPECT_EQ(e.b, 333);
 }
@@ -983,7 +983,7 @@ TEST_F(StreamFixture, RenderLogMatchesObservedRendersThroughPauseAndSeek) {
 }
 
 TEST_F(StreamFixture, TraceRecordsSessionLifecycle) {
-  sim.obs().trace().set_enabled(true);
+  sim.obs().flight().set_tracing(true);
   const auto enc = encode(sec(5), default_job());
   server->publish("lec", enc.file);
   Player p(network, client_host, player_cfg(SyncModel::kEtpn));
@@ -994,29 +994,29 @@ TEST_F(StreamFixture, TraceRecordsSessionLifecycle) {
   p.stop();
   sim.run();
 
-  const auto& sink = sim.obs().trace();
-  const auto evs = sink.events();
-  const auto open = first_event(evs, obs::EventType::kSessionOpen);
+  const auto& journal = sim.obs().flight();
+  const auto evs = journal.events();
+  const auto open = first_event(evs, obs::FlightType::kSessionOpen);
   ASSERT_TRUE(open.has_value());
   EXPECT_EQ(open->detail, "lec");
   const auto issued =
-      first_event(evs, obs::EventType::kPlayIssued, client_host);
+      first_event(evs, obs::FlightType::kPlayIssued, client_host);
   ASSERT_TRUE(issued.has_value());
 
   // The PLAY -> first-frame span brackets the startup delay (the first
   // render can trail the buffering->playing transition by a timer tick).
-  const auto startup = span_between(evs, obs::EventType::kPlayIssued,
-                                    obs::EventType::kRenderStart, client_host);
+  const auto startup = span_between(evs, obs::FlightType::kPlayIssued,
+                                    obs::FlightType::kRenderStart, client_host);
   ASSERT_TRUE(startup.has_value());
   EXPECT_GE(*startup, p.startup_delay().us);
   EXPECT_LT(*startup, p.startup_delay().us + sec(1).us);
 
   // Both ends of the seek appear (player issues, server executes).
-  EXPECT_FALSE(sink.events(obs::EventType::kSessionSeek).empty());
-  EXPECT_FALSE(sink.events(obs::EventType::kSessionStop).empty());
+  EXPECT_FALSE(journal.events(obs::FlightType::kSessionSeek).empty());
+  EXPECT_FALSE(journal.events(obs::FlightType::kSessionStop).empty());
   // Network-level events ride the same timeline.
-  EXPECT_FALSE(sink.events(obs::EventType::kPacketSend).empty());
-  EXPECT_FALSE(sink.events(obs::EventType::kPacketRecv).empty());
+  EXPECT_FALSE(journal.events(obs::FlightType::kPacketSend).empty());
+  EXPECT_FALSE(journal.events(obs::FlightType::kPacketRecv).empty());
 }
 
 TEST_F(StreamFixture, SnapshotDeltaIsolatesOnePlayback) {

@@ -195,8 +195,8 @@ TEST(SyncStorm, InjectedPersistentDesyncAutoDumpsFlightJournal) {
   wire(replica, student_host, false);
   authority.agent->add_peer(student_host);
 
-  // Spans mirror into the flight journal only while tracing is on.
-  network.obs().trace().set_enabled(true);
+  // Spans reach the flight journal (its trace lane) only while tracing is on.
+  network.obs().flight().set_tracing(true);
   std::vector<obs::FlightDump> dumps;
   network.obs().flight().on_dump(
       [&dumps](const obs::FlightDump& d) { dumps.push_back(d); });
@@ -230,10 +230,10 @@ TEST(SyncStorm, InjectedPersistentDesyncAutoDumpsFlightJournal) {
   // The completion journal covers the resync span end to end.
   obs::TimeUs t_verdict = -1, t_begin = -1, t_end = -1, t_resync = -1;
   for (const obs::FlightEvent& e :
-       obs::FlightRecorder::parse_jsonl(done->jsonl)) {
+       obs::parse_jsonl(done->jsonl)) {
     switch (e.type) {
       case obs::FlightType::kSyncVerdict:
-        if (e.b == static_cast<std::uint64_t>(
+        if (e.b == static_cast<std::int64_t>(
                        DesyncDetector::Verdict::kPersistent) &&
             t_verdict < 0) {
           t_verdict = e.t;
